@@ -15,6 +15,7 @@
 pub mod autotune;
 pub mod checkpoint;
 pub mod csv;
+pub mod eval_profiles;
 pub mod experiments;
 pub mod faults;
 pub mod harness;
