@@ -7,14 +7,20 @@
 //! serves three roles: semantics oracle for the compiler, source of
 //! data-dependent execution profiles for the machine simulator, and
 //! critical-variable resolution of last resort.
+//!
+//! A run lowers the program once ([`crate::lower`]: names to slots,
+//! statements to profile rows) and then executes the lowered tree over
+//! slot-indexed storage: `Copy` scalars and typed arrays.
 
-use crate::array::ArrayVal;
-use crate::profile::ExecutionProfile;
-use hpf_lang::ast::*;
-use hpf_lang::sema::{AnalyzedProgram, SymbolKind};
+use crate::data::{self, Data, Operand};
+use crate::lower::{self, Ax, Ex, Forall, ForallItem, Program, Stmt, Sub, Sx, Where, WhereItem};
+use crate::profile::{ExecutionProfile, StmtStats};
+use crate::scalar::{self, Scalar};
+use hpf_lang::ast::{Intrinsic, TypeSpec};
+use hpf_lang::sema::AnalyzedProgram;
 use hpf_lang::value::Value;
-use hpf_lang::value_ops;
 use hpf_lang::Span;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Evaluation error.
@@ -32,43 +38,14 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-type EvalResult<T> = Result<T, EvalError>;
+/// Boxed so that results on the hot path stay small.
+type R<T> = Result<T, Box<EvalError>>;
 
-fn err<T>(message: impl Into<String>, span: Span) -> EvalResult<T> {
-    Err(EvalError {
+fn fault(message: impl Into<String>, span: Span) -> Box<EvalError> {
+    Box::new(EvalError {
         message: message.into(),
         span,
     })
-}
-
-/// A scalar or array evaluation result.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EvalValue {
-    Scalar(Value),
-    Array(ArrayVal),
-}
-
-impl EvalValue {
-    pub fn as_scalar(&self) -> Option<&Value> {
-        match self {
-            EvalValue::Scalar(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&ArrayVal> {
-        match self {
-            EvalValue::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// A variable binding.
-#[derive(Debug, Clone)]
-enum Binding {
-    Scalar(Value),
-    Array(ArrayVal),
 }
 
 /// Outcome of a completed run.
@@ -82,1133 +59,1015 @@ pub struct RunOutcome {
     pub scalars: BTreeMap<String, Value>,
 }
 
+/// The step budget of [`run`].
+pub const DEFAULT_STEP_LIMIT: u64 = 500_000_000;
+
 /// Run the functional interpreter over an analyzed program.
-pub fn run(analyzed: &AnalyzedProgram) -> EvalResult<RunOutcome> {
-    run_with_limit(analyzed, 500_000_000)
+pub fn run(analyzed: &AnalyzedProgram) -> Result<RunOutcome, EvalError> {
+    run_with_limit(analyzed, DEFAULT_STEP_LIMIT)
 }
 
 /// Run with an explicit step budget (guards non-terminating DO WHILE loops).
-pub fn run_with_limit(analyzed: &AnalyzedProgram, step_limit: u64) -> EvalResult<RunOutcome> {
+///
+/// One step is charged per AST expression node evaluated, per DO / DO
+/// WHILE trip, per scalar or element store, per element of an array
+/// operation, per FORALL index-space point and WHERE mask element, and per
+/// PRINT or I/O statement. The run fails once the total exceeds
+/// `step_limit`; because the total only grows, the outcome depends only
+/// on the total, not on when within a statement the steps are charged.
+pub fn run_with_limit(
+    analyzed: &AnalyzedProgram,
+    step_limit: u64,
+) -> Result<RunOutcome, EvalError> {
+    let prog = lower::lower(analyzed);
     let mut ev = Evaluator {
-        env: BTreeMap::new(),
-        analyzed,
-        profile: ExecutionProfile::default(),
+        mem: Mem {
+            scalars: prog.scalars.iter().map(|(_, _, init)| *init).collect(),
+            arrays: prog
+                .arrays
+                .iter()
+                .map(|(n, ty, shape)| Array::new(n, *ty, shape))
+                .collect(),
+            idx: vec![0; prog.index_regs],
+        },
+        ctr: Counter {
+            steps: 0,
+            limit: step_limit,
+        },
+        stats: vec![StmtStats::default(); prog.rows.len()],
+        seen: vec![false; prog.rows.len()],
         output: Vec::new(),
-        steps: 0,
-        step_limit,
         stopped: false,
+        scratch: Vec::new(),
+        prog: &prog,
     };
-    ev.init_storage();
-    for st in &analyzed.program.body {
-        if ev.stopped {
-            break;
-        }
-        ev.exec_stmt(st, &BTreeMap::new())?;
-    }
-    let scalars = ev
-        .env
+    ev.block(&prog.stmts).map_err(|e| *e)?;
+    let rows = prog
+        .rows
         .iter()
-        .filter_map(|(k, b)| match b {
-            Binding::Scalar(v) => Some((k.clone(), v.clone())),
-            _ => None,
-        })
+        .zip(ev.stats)
+        .zip(&ev.seen)
+        .filter(|(_, &seen)| seen)
+        .map(|((&key, stats), _)| (key, stats));
+    let profile = ExecutionProfile::from_rows(rows, ev.ctr.steps);
+    let scalars = prog
+        .scalars
+        .iter()
+        .zip(&ev.mem.scalars)
+        .map(|((name, _, _), v)| (name.clone(), v.to_value(&prog.strings)))
         .collect();
     Ok(RunOutcome {
         output: ev.output,
-        profile: ev.profile,
+        profile,
         scalars,
     })
 }
 
-struct Evaluator<'a> {
-    env: BTreeMap<String, Binding>,
-    analyzed: &'a AnalyzedProgram,
-    profile: ExecutionProfile,
-    output: Vec<String>,
-    steps: u64,
-    step_limit: u64,
-    stopped: bool,
-}
-
-/// Forall/implied-do index bindings active during expression evaluation.
-type IndexEnv = BTreeMap<String, i64>;
-
-/// Bounds metadata of an array (no element storage) — lets subscript
-/// machinery run without borrowing or cloning the array data.
-struct ArrayMeta {
+/// One array's bounds and typed elements.
+struct Array {
+    name: String,
     lbounds: Vec<i64>,
     extents: Vec<usize>,
+    /// Column-major stride of each dimension.
+    strides: Vec<usize>,
+    data: Data,
 }
 
-impl ArrayMeta {
-    fn rank(&self) -> usize {
-        self.extents.len()
-    }
-
-    fn len(&self) -> usize {
-        self.extents.iter().product()
-    }
-
-    fn offset(&self, idx: &[i64]) -> Option<usize> {
-        if idx.len() != self.rank() {
-            return None;
+impl Array {
+    fn new(name: &str, ty: TypeSpec, shape: &[(i64, i64)]) -> Array {
+        let extents: Vec<usize> = shape
+            .iter()
+            .map(|(lb, ub)| (ub - lb + 1).max(0) as usize)
+            .collect();
+        let strides = extents
+            .iter()
+            .scan(1usize, |s, &e| {
+                let here = *s;
+                *s *= e;
+                Some(here)
+            })
+            .collect();
+        let n = extents.iter().product();
+        Array {
+            name: name.to_string(),
+            lbounds: shape.iter().map(|(lb, _)| *lb).collect(),
+            extents,
+            strides,
+            data: Data::zeroed(ty, n),
         }
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for (d, &i) in idx.iter().enumerate() {
-            let rel = i - self.lbounds[d];
-            if rel < 0 || rel as usize >= self.extents[d] {
-                return None;
-            }
-            off += rel as usize * stride;
-            stride *= self.extents[d];
-        }
-        Some(off)
     }
 }
 
-impl<'a> Evaluator<'a> {
-    fn init_storage(&mut self) {
-        for (name, sym) in &self.analyzed.symbols {
-            match &sym.kind {
-                SymbolKind::Scalar => {
-                    let v = match sym.ty {
-                        TypeSpec::Integer => Value::Int(0),
-                        TypeSpec::Logical => Value::Logical(false),
-                        _ => Value::Real(0.0),
-                    };
-                    self.env.insert(name.clone(), Binding::Scalar(v));
-                }
-                SymbolKind::Array { shape } => {
-                    self.env.insert(
-                        name.clone(),
-                        Binding::Array(ArrayVal::zeroed(shape, sym.ty)),
-                    );
-                }
-                _ => {}
-            }
-        }
-    }
+/// Everything an expression reads.
+struct Mem {
+    scalars: Vec<Scalar>,
+    arrays: Vec<Array>,
+    /// FORALL index registers.
+    idx: Vec<i64>,
+}
 
-    fn tick(&mut self, n: u64, span: Span) -> EvalResult<()> {
-        self.steps += n;
-        self.profile.total_steps += n;
-        if self.steps > self.step_limit {
-            err("step limit exceeded (non-terminating loop?)", span)
+/// The step budget.
+struct Counter {
+    steps: u64,
+    limit: u64,
+}
+
+impl Counter {
+    #[inline]
+    fn tick(&mut self, n: u64, span: Span) -> R<()> {
+        self.steps = self.steps.saturating_add(n);
+        if self.steps > self.limit {
+            Err(fault("step limit exceeded (non-terminating loop?)", span))
         } else {
             Ok(())
         }
     }
+}
 
-    // ---- statements ------------------------------------------------------
+/// An array value: borrowed from storage or computed.
+struct AVal<'m> {
+    extents: Cow<'m, [usize]>,
+    data: Cow<'m, Data>,
+}
 
-    fn exec_stmt(&mut self, st: &Stmt, idx: &IndexEnv) -> EvalResult<()> {
-        if self.stopped {
-            return Ok(());
+impl AVal<'_> {
+    fn owned(extents: Vec<usize>, data: Data) -> AVal<'static> {
+        AVal {
+            extents: Cow::Owned(extents),
+            data: Cow::Owned(data),
         }
-        self.profile.entry(st.span()).executions += 1;
-        match st {
-            Stmt::Assign { lhs, rhs, span } => {
-                let v = self.eval_expr(rhs, idx)?;
-                self.assign(lhs, v, idx, *span)
+    }
+
+    fn len(&self) -> usize {
+        self.data.len()
+    }
+}
+
+/// A scalar or array evaluation result.
+enum Val<'m> {
+    S(Scalar),
+    A(AVal<'m>),
+}
+
+impl<'m> Val<'m> {
+    fn array(&self) -> Option<&AVal<'m>> {
+        match self {
+            Val::A(a) => Some(a),
+            Val::S(_) => None,
+        }
+    }
+
+    fn scalar(&self) -> Option<Scalar> {
+        match self {
+            Val::S(s) => Some(*s),
+            Val::A(_) => None,
+        }
+    }
+}
+
+/// A set of FORALL index tuples, `stride` registers each, stored flat.
+struct Tuples {
+    stride: usize,
+    count: usize,
+    data: Vec<i64>,
+}
+
+impl Tuples {
+    fn get(&self, t: usize) -> &[i64] {
+        &self.data[t * self.stride..(t + 1) * self.stride]
+    }
+}
+
+struct Evaluator<'p> {
+    prog: &'p Program,
+    mem: Mem,
+    ctr: Counter,
+    stats: Vec<StmtStats>,
+    /// Rows that exist in the profile (reached at least once).
+    seen: Vec<bool>,
+    output: Vec<String>,
+    stopped: bool,
+    /// FORALL gather buffer: (element offset, value), reused.
+    scratch: Vec<(usize, Scalar)>,
+}
+
+// ---- expressions -----------------------------------------------------------
+
+fn eval_int(m: &Mem, c: &mut Counter, e: &Sx, span: Span) -> R<i64> {
+    eval_s(m, c, e)?
+        .as_i64()
+        .ok_or_else(|| fault("expected integer value", span))
+}
+
+/// Column-major offset of element `subs` of `a`.
+#[inline]
+fn elem_offset(m: &Mem, c: &mut Counter, a: &Array, subs: &[Sx], span: Span) -> R<usize> {
+    if subs.len() != a.extents.len() {
+        return Err(fault(format!("index out of bounds for `{}`", a.name), span));
+    }
+    let mut off = 0usize;
+    for (d, s) in subs.iter().enumerate() {
+        let i = eval_int(m, c, s, span)?;
+        let rel = i.wrapping_sub(a.lbounds[d]);
+        if rel < 0 || rel as usize >= a.extents[d] {
+            return Err(fault(
+                format!(
+                    "index {i} out of bounds in dimension {} of `{}`",
+                    d + 1,
+                    a.name
+                ),
+                span,
+            ));
+        }
+        off += rel as usize * a.strides[d];
+    }
+    Ok(off)
+}
+
+fn eval_s(m: &Mem, c: &mut Counter, e: &Sx) -> R<Scalar> {
+    match e {
+        Sx::Const(v) => Ok(*v),
+        Sx::Index(r) => Ok(Scalar::Int(m.idx[*r])),
+        Sx::Var(s) => Ok(m.scalars[*s]),
+        Sx::Elem(el, span) => {
+            let a = &m.arrays[el.0];
+            let off = elem_offset(m, c, a, &el.1, *span)?;
+            Ok(a.data.get(off))
+        }
+        Sx::Binary(op, lr, span) => {
+            let l = eval_s(m, c, &lr.0)?;
+            let r = eval_s(m, c, &lr.1)?;
+            scalar::binary(*op, l, r).ok_or_else(|| fault("bad operands", *span))
+        }
+        Sx::Unary(op, x, span) => scalar::unary(*op, eval_s(m, c, x)?)
+            .ok_or_else(|| fault("bad operand for unary operator", *span)),
+        Sx::Call(intr, args, span) => {
+            let mut buf = [Scalar::Int(0); 8];
+            let mut vec;
+            let vals: &mut [Scalar] = if args.len() <= buf.len() {
+                &mut buf[..args.len()]
+            } else {
+                vec = vec![Scalar::Int(0); args.len()];
+                &mut vec
+            };
+            for (v, a) in vals.iter_mut().zip(args.iter()) {
+                *v = eval_s(m, c, a)?;
             }
-            Stmt::Forall { header, body, span } => self.exec_forall(header, body, idx, *span),
-            Stmt::Where {
-                mask,
-                body,
-                elsewhere,
-                span,
-            } => self.exec_where(mask, body, elsewhere, idx, *span),
-            Stmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                span,
-            } => {
-                let lo = self.eval_int(lo, idx)?;
-                let hi = self.eval_int(hi, idx)?;
-                let step = match step {
-                    Some(s) => self.eval_int(s, idx)?,
+            scalar::intrinsic(*intr, vals)
+                .ok_or_else(|| fault(format!("bad arguments to {}", intr.name()), *span))
+        }
+        Sx::Reduce(intr, args, span) => reduce(m, c, *intr, args, *span),
+        Sx::Fail(msg, span) => Err(fault(&**msg, *span)),
+    }
+}
+
+fn eval_ex<'m>(m: &'m Mem, c: &mut Counter, e: &Ex) -> R<Val<'m>> {
+    match e {
+        Ex::S(s) => eval_s(m, c, s).map(Val::S),
+        Ex::A(a) => eval_a(m, c, a).map(Val::A),
+    }
+}
+
+fn eval_args<'m>(m: &'m Mem, c: &mut Counter, args: &[Ex]) -> R<Vec<Val<'m>>> {
+    args.iter().map(|a| eval_ex(m, c, a)).collect()
+}
+
+/// Column-major offsets selected by a section of `a`, plus its extents
+/// (one per triplet subscript).
+fn section(
+    m: &Mem,
+    c: &mut Counter,
+    a: &Array,
+    subs: &[Sub],
+    span: Span,
+) -> R<(Vec<usize>, Vec<usize>)> {
+    if subs.len() != a.extents.len() {
+        return Err(fault(
+            format!("rank mismatch: `{}` has rank {}", a.name, a.extents.len()),
+            span,
+        ));
+    }
+    // Per-dimension index lists.
+    let mut lists: Vec<Vec<i64>> = Vec::with_capacity(subs.len());
+    let mut extents = Vec::new();
+    for (d, s) in subs.iter().enumerate() {
+        match s {
+            Sub::Index(e) => lists.push(vec![eval_int(m, c, e, span)?]),
+            Sub::Range(lo, hi, stride) => {
+                let lb = a.lbounds[d];
+                let lo = match lo {
+                    Some(e) => eval_int(m, c, e, span)?,
+                    None => lb,
+                };
+                let hi = match hi {
+                    Some(e) => eval_int(m, c, e, span)?,
+                    None => lb + a.extents[d] as i64 - 1,
+                };
+                let step = match stride {
+                    Some(e) => eval_int(m, c, e, span)?,
                     None => 1,
                 };
                 if step == 0 {
-                    return err("DO step of zero", *span);
+                    return Err(fault("section stride of zero", span));
                 }
+                let mut list = Vec::new();
                 let mut i = lo;
-                loop {
-                    let done = if step > 0 { i > hi } else { i < hi };
-                    if done || self.stopped {
-                        break;
-                    }
-                    self.tick(1, *span)?;
-                    self.profile.entry(*span).iterations += 1;
-                    self.env.insert(var.clone(), Binding::Scalar(Value::Int(i)));
-                    for s in body {
-                        self.exec_stmt(s, idx)?;
-                    }
-                    // Loop variable may be modified inside in full Fortran;
-                    // our subset forbids it, so re-read is unnecessary.
+                while if step > 0 { i <= hi } else { i >= hi } {
+                    list.push(i);
                     i += step;
                 }
-                Ok(())
+                extents.push(list.len());
+                lists.push(list);
             }
-            Stmt::DoWhile { cond, body, span } => {
-                loop {
-                    if self.stopped {
-                        break;
-                    }
-                    let c = self.eval_expr(cond, idx)?;
-                    let c = match c {
-                        EvalValue::Scalar(Value::Logical(b)) => b,
-                        _ => return err("DO WHILE condition must be scalar LOGICAL", *span),
-                    };
-                    if !c {
-                        break;
-                    }
-                    self.tick(1, *span)?;
-                    self.profile.entry(*span).iterations += 1;
-                    for s in body {
-                        self.exec_stmt(s, idx)?;
-                    }
+        }
+    }
+    let total: usize = lists.iter().map(Vec::len).product();
+    if total == 0 {
+        return Ok((Vec::new(), extents));
+    }
+    // Every listed index occurs in some element: bounds-check once per
+    // dimension, then sum per-dimension offset contributions.
+    let mut parts: Vec<Vec<usize>> = Vec::with_capacity(lists.len());
+    for (d, list) in lists.iter().enumerate() {
+        let mut part = Vec::with_capacity(list.len());
+        for &i in list {
+            let rel = i.wrapping_sub(a.lbounds[d]);
+            if rel < 0 || rel as usize >= a.extents[d] {
+                return Err(fault(
+                    format!("section index {i} out of bounds in dimension {}", d + 1),
+                    span,
+                ));
+            }
+            part.push(rel as usize * a.strides[d]);
+        }
+        parts.push(part);
+    }
+    // Cartesian product in column-major order (first dimension fastest).
+    let mut offsets = Vec::with_capacity(total);
+    let mut counters = vec![0usize; parts.len()];
+    for _ in 0..total {
+        offsets.push(counters.iter().zip(&parts).map(|(&k, p)| p[k]).sum());
+        for d in 0..counters.len() {
+            counters[d] += 1;
+            if counters[d] < parts[d].len() {
+                break;
+            }
+            counters[d] = 0;
+        }
+    }
+    Ok((offsets, extents))
+}
+
+fn eval_a<'m>(m: &'m Mem, c: &mut Counter, e: &Ax) -> R<AVal<'m>> {
+    match e {
+        Ax::Whole(slot) => {
+            let a = &m.arrays[*slot];
+            Ok(AVal {
+                extents: Cow::Borrowed(&a.extents),
+                data: Cow::Borrowed(&a.data),
+            })
+        }
+        Ax::Section(sec, span) => {
+            let a = &m.arrays[sec.0];
+            let (offsets, extents) = section(m, c, a, &sec.1, *span)?;
+            c.tick(offsets.len() as u64, *span)?;
+            Ok(AVal::owned(extents, a.data.gather(&offsets)))
+        }
+        Ax::Unary(op, x, span) => {
+            let a = eval_a(m, c, x)?;
+            c.tick(a.len() as u64, *span)?;
+            let data = data::unary(*op, &a.data)
+                .ok_or_else(|| fault("bad array operand for unary operator", *span))?;
+            Ok(AVal::owned(a.extents.into_owned(), data))
+        }
+        Ax::Binary(op, lr, span) => {
+            let l = eval_ex(m, c, &lr.0)?;
+            let r = eval_ex(m, c, &lr.1)?;
+            let extents = match (&l, &r) {
+                (Val::A(a), Val::A(b)) if a.extents != b.extents => {
+                    return Err(fault("operands not conformable", *span))
                 }
-                Ok(())
+                (Val::A(a), _) | (_, Val::A(a)) => a.extents.to_vec(),
+                _ => unreachable!("lowered as a scalar expression"),
+            };
+            let n: usize = extents.iter().product();
+            c.tick(n as u64, *span)?;
+            fn operand<'a>(v: &'a Val) -> Operand<'a> {
+                match v {
+                    Val::S(s) => Operand::Scalar(*s),
+                    Val::A(a) => Operand::Array(&a.data),
+                }
+            }
+            let data = data::binary(*op, &operand(&l), &operand(&r), n)
+                .ok_or_else(|| fault("bad operands", *span))?;
+            Ok(AVal::owned(extents, data))
+        }
+        Ax::Elemental(intr, args, span) => {
+            let vals = eval_args(m, c, args)?;
+            let Some(shape) = vals.iter().find_map(Val::array) else {
+                unreachable!("lowered with an array argument")
+            };
+            if vals
+                .iter()
+                .filter_map(Val::array)
+                .any(|a| a.extents != shape.extents)
+            {
+                return Err(fault("elemental intrinsic operands not conformable", *span));
+            }
+            let n = shape.len();
+            c.tick(n as u64, *span)?;
+            let mut buf = Vec::with_capacity(vals.len());
+            let mut out = Vec::with_capacity(n);
+            for off in 0..n {
+                buf.clear();
+                buf.extend(vals.iter().map(|v| match v {
+                    Val::S(s) => *s,
+                    Val::A(a) => a.data.get(off),
+                }));
+                out.push(
+                    scalar::intrinsic(*intr, &buf)
+                        .ok_or_else(|| fault(format!("bad arguments to {}", intr.name()), *span))?,
+                );
+            }
+            // A zero-size result keeps the kind the intrinsic would give.
+            let int_args = vals.iter().all(|v| match v {
+                Val::S(s) => matches!(s, Scalar::Int(_)),
+                Val::A(a) => matches!(*a.data, Data::Int(_)),
+            });
+            let empty = match intr {
+                Intrinsic::Int | Intrinsic::Nint => TypeSpec::Integer,
+                Intrinsic::Abs | Intrinsic::Min | Intrinsic::Max | Intrinsic::Mod if int_args => {
+                    TypeSpec::Integer
+                }
+                _ => TypeSpec::Real,
+            };
+            Ok(AVal::owned(shape.extents.to_vec(), Data::pack(out, empty)))
+        }
+        Ax::Transform(intr, args, span) => transform(m, c, *intr, args, *span),
+    }
+}
+
+/// CSHIFT / TSHIFT / EOSHIFT / TRANSPOSE / MATMUL.
+fn transform<'m>(
+    m: &'m Mem,
+    c: &mut Counter,
+    intr: Intrinsic,
+    args: &[Ex],
+    span: Span,
+) -> R<AVal<'m>> {
+    let vals = eval_args(m, c, args)?;
+    let arg = |i: usize, what: &str| {
+        vals.get(i)
+            .and_then(Val::array)
+            .ok_or_else(|| fault(format!("{what} of non-array"), span))
+    };
+    match intr {
+        Intrinsic::Transpose => {
+            let a = arg(0, "transpose")?;
+            c.tick(a.len() as u64, span)?;
+            let [n0, n1] = a.extents[..] else {
+                return Err(fault("TRANSPOSE needs rank 2", span));
+            };
+            Ok(AVal::owned(vec![n1, n0], data::transpose(&a.data, n0, n1)))
+        }
+        Intrinsic::MatMul => match (
+            vals.first().and_then(Val::array),
+            vals.get(1).and_then(Val::array),
+        ) {
+            (Some(a), Some(b)) if a.extents.len() == 2 && b.extents.len() == 2 => {
+                let (mm, k) = (a.extents[0], a.extents[1]);
+                let (k2, n) = (b.extents[0], b.extents[1]);
+                if k != k2 {
+                    return Err(fault("MATMUL inner dimensions disagree", span));
+                }
+                c.tick((mm * n * k) as u64, span)?;
+                Ok(AVal::owned(
+                    vec![mm, n],
+                    data::matmul(&a.data, &b.data, mm, k, n),
+                ))
+            }
+            _ => Err(fault("MATMUL needs two rank-2 arrays", span)),
+        },
+        // CSHIFT, TSHIFT, EOSHIFT.
+        _ => {
+            let a = arg(0, "shift")?;
+            let shift = vals
+                .get(1)
+                .and_then(Val::scalar)
+                .and_then(Scalar::as_i64)
+                .ok_or_else(|| fault("shift amount must be scalar integer", span))?;
+            let dim = match vals.get(2) {
+                Some(v) => v.scalar().and_then(Scalar::as_i64).unwrap_or(1) as usize,
+                None => 1,
+            };
+            c.tick(a.len() as u64, span)?;
+            if dim == 0 || dim > a.extents.len() {
+                return Err(fault("bad shift dimension", span));
+            }
+            let circular = intr == Intrinsic::CShift;
+            let data = data::shift(&a.data, &a.extents, dim - 1, shift, circular);
+            Ok(AVal::owned(a.extents.to_vec(), data))
+        }
+    }
+}
+
+/// SUM / PRODUCT / MAXVAL / MINVAL / MAXLOC / MINLOC / DOT_PRODUCT / SIZE.
+fn reduce(m: &Mem, c: &mut Counter, intr: Intrinsic, args: &[Ex], span: Span) -> R<Scalar> {
+    use Intrinsic::*;
+    let vals = eval_args(m, c, args)?;
+    let first = vals.first().and_then(Val::array);
+    match intr {
+        Sum | Product | MaxVal | MinVal => {
+            let a = first.ok_or_else(|| fault("reduction of non-array", span))?;
+            c.tick(a.len() as u64, span)?;
+            data::reduce(intr, &a.data).ok_or_else(|| fault("non-numeric reduction", span))
+        }
+        MaxLoc | MinLoc => {
+            let a = first.ok_or_else(|| fault("maxloc of non-array", span))?;
+            if a.extents.len() != 1 {
+                return Err(fault(
+                    "MAXLOC/MINLOC restricted to rank-1 in the subset",
+                    span,
+                ));
+            }
+            c.tick(a.len() as u64, span)?;
+            let mut best: Option<(usize, f64)> = None;
+            for i in 0..a.len() {
+                let x = a
+                    .data
+                    .get(i)
+                    .as_f64()
+                    .ok_or_else(|| fault("non-numeric maxloc", span))?;
+                let better = match best {
+                    None => true,
+                    Some((_, b)) => {
+                        if intr == MaxLoc {
+                            x > b
+                        } else {
+                            x < b
+                        }
+                    }
+                };
+                if better {
+                    best = Some((i, x));
+                }
+            }
+            // Fortran returns a rank-1 result array; the subset returns the
+            // 1-based position as a scalar INTEGER.
+            Ok(Scalar::Int(best.map(|(i, _)| i as i64 + 1).unwrap_or(0)))
+        }
+        DotProduct => match (first, vals.get(1).and_then(Val::array)) {
+            (Some(a), Some(b)) if a.extents == b.extents => {
+                c.tick(2 * a.len() as u64, span)?;
+                Ok(Scalar::Real(data::dot(&a.data, &b.data)))
+            }
+            _ => Err(fault("DOT_PRODUCT of non-conformable arrays", span)),
+        },
+        Size => {
+            let a = first.ok_or_else(|| fault("SIZE of non-array", span))?;
+            match vals.get(1) {
+                None => Ok(Scalar::Int(a.len() as i64)),
+                Some(d) => {
+                    let d = d.scalar().and_then(Scalar::as_i64).unwrap_or(1) as usize;
+                    if d == 0 || d > a.extents.len() {
+                        return Err(fault("SIZE dim out of range", span));
+                    }
+                    Ok(Scalar::Int(a.extents[d - 1] as i64))
+                }
+            }
+        }
+        _ => Err(fault(
+            format!(
+                "{} is not supported by the functional interpreter",
+                intr.name()
+            ),
+            span,
+        )),
+    }
+}
+
+fn display(v: Scalar, strings: &[String]) -> String {
+    match v {
+        Scalar::Int(i) => i.to_string(),
+        Scalar::Real(r) => r.to_string(),
+        Scalar::Logical(true) => "T".into(),
+        Scalar::Logical(false) => "F".into(),
+        Scalar::Str(i) => strings[i as usize].clone(),
+    }
+}
+
+// ---- statements ------------------------------------------------------------
+
+impl Evaluator<'_> {
+    fn block(&mut self, stmts: &[Stmt]) -> R<()> {
+        for s in stmts {
+            self.stmt(s)?;
+        }
+        Ok(())
+    }
+
+    fn enter(&mut self, row: usize) {
+        self.seen[row] = true;
+        self.stats[row].executions += 1;
+    }
+
+    fn stmt(&mut self, st: &Stmt) -> R<()> {
+        if self.stopped {
+            return Ok(());
+        }
+        match st {
+            Stmt::Scalar {
+                slot,
+                coerce,
+                rhs,
+                steps,
+                row,
+                span,
+            } => {
+                self.enter(*row);
+                let (m, c) = (&mut self.mem, &mut self.ctr);
+                c.tick(*steps, *span)?;
+                let v = eval_s(m, c, rhs)?;
+                m.scalars[*slot] = coerce.apply(v);
+            }
+            Stmt::Element {
+                arr,
+                subs,
+                rhs,
+                steps,
+                row,
+                span,
+            } => {
+                self.enter(*row);
+                let (m, c) = (&mut self.mem, &mut self.ctr);
+                c.tick(*steps, *span)?;
+                let v = eval_s(m, c, rhs)?;
+                let off = elem_offset(m, c, &m.arrays[*arr], subs, *span)?;
+                m.arrays[*arr].data.set(off, v);
+            }
+            Stmt::Array {
+                arr,
+                subs,
+                rhs,
+                steps,
+                row,
+                span,
+            } => {
+                self.enter(*row);
+                self.assign_array(*arr, subs.as_deref(), rhs, *steps, *span)?;
+            }
+            Stmt::Forall(f) => {
+                self.enter(f.row);
+                let top = Tuples {
+                    stride: 0,
+                    count: 1,
+                    data: Vec::new(),
+                };
+                self.forall(f, &top)?;
+            }
+            Stmt::Where(w) => {
+                self.enter(w.row);
+                self.where_(w)?;
+            }
+            Stmt::Do {
+                var,
+                bounds,
+                steps,
+                body,
+                row,
+                span,
+            } => {
+                self.enter(*row);
+                let (m, c) = (&mut self.mem, &mut self.ctr);
+                c.tick(*steps, *span)?;
+                let lo = eval_int(m, c, &bounds.0, *span)?;
+                let hi = eval_int(m, c, &bounds.1, *span)?;
+                let step = match &bounds.2 {
+                    Some(s) => eval_int(m, c, s, *span)?,
+                    None => 1,
+                };
+                if step == 0 {
+                    return Err(fault("DO step of zero", *span));
+                }
+                let mut i = lo;
+                while !self.stopped && if step > 0 { i <= hi } else { i >= hi } {
+                    self.ctr.tick(1, *span)?;
+                    self.stats[*row].iterations += 1;
+                    // The DO variable holds an INTEGER whatever its type.
+                    self.mem.scalars[*var] = Scalar::Int(i);
+                    self.block(body)?;
+                    i = i.wrapping_add(step);
+                }
+            }
+            Stmt::DoWhile {
+                cond,
+                steps,
+                body,
+                row,
+                span,
+            } => {
+                self.enter(*row);
+                while !self.stopped {
+                    self.ctr.tick(*steps, *span)?;
+                    match eval_s(&self.mem, &mut self.ctr, cond)? {
+                        Scalar::Logical(true) => {}
+                        Scalar::Logical(false) => break,
+                        _ => return Err(fault("DO WHILE condition must be scalar LOGICAL", *span)),
+                    }
+                    self.ctr.tick(1, *span)?;
+                    self.stats[*row].iterations += 1;
+                    self.block(body)?;
+                }
             }
             Stmt::If {
                 arms,
                 else_body,
+                row,
                 span,
             } => {
-                for (cond, body) in arms {
-                    let c = self.eval_expr(cond, idx)?;
-                    match c {
-                        EvalValue::Scalar(Value::Logical(true)) => {
-                            self.profile.entry(*span).mask_true += 1;
-                            self.profile.entry(*span).mask_total += 1;
-                            for s in body {
-                                self.exec_stmt(s, idx)?;
-                            }
-                            return Ok(());
-                        }
-                        EvalValue::Scalar(Value::Logical(false)) => {
-                            self.profile.entry(*span).mask_total += 1;
-                        }
-                        _ => return err("IF condition must be scalar LOGICAL", *span),
+                self.enter(*row);
+                for (cond, steps, body) in arms {
+                    self.ctr.tick(*steps, *span)?;
+                    let taken = match eval_s(&self.mem, &mut self.ctr, cond)? {
+                        Scalar::Logical(b) => b,
+                        _ => return Err(fault("IF condition must be scalar LOGICAL", *span)),
+                    };
+                    let st = &mut self.stats[*row];
+                    st.mask_total += 1;
+                    if taken {
+                        st.mask_true += 1;
+                        return self.block(body);
                     }
                 }
-                for s in else_body {
-                    self.exec_stmt(s, idx)?;
-                }
-                Ok(())
+                self.block(else_body)?;
             }
-            Stmt::Call { name, span, .. } => {
-                // The subset has no user procedures; CALL is accepted by the
-                // parser for completeness but has no executable semantics.
-                err(
-                    format!("CALL to `{name}` — user procedures are outside the subset"),
-                    *span,
-                )
-            }
-            Stmt::Print { items, span } => {
+            Stmt::Print {
+                items,
+                steps,
+                row,
+                span,
+            } => {
+                self.enter(*row);
+                let (m, c) = (&self.mem, &mut self.ctr);
+                c.tick(*steps, *span)?;
                 let mut line = String::new();
                 for (i, e) in items.iter().enumerate() {
                     if i > 0 {
                         line.push(' ');
                     }
-                    match self.eval_expr(e, idx)? {
-                        EvalValue::Scalar(v) => line.push_str(&v.to_string()),
-                        EvalValue::Array(a) => {
-                            for (j, v) in a.data.iter().enumerate() {
+                    match eval_ex(m, c, e)? {
+                        Val::S(v) => line.push_str(&display(v, &self.prog.strings)),
+                        Val::A(a) => {
+                            for j in 0..a.len() {
                                 if j > 0 {
                                     line.push(' ');
                                 }
-                                line.push_str(&v.to_string());
+                                line.push_str(&display(a.data.get(j), &self.prog.strings));
                             }
                         }
                     }
                 }
-                self.tick(1, *span)?;
                 self.output.push(line);
-                Ok(())
             }
-            Stmt::Stop { .. } => {
+            Stmt::Io { row, span } => {
+                self.enter(*row);
+                self.ctr.tick(1, *span)?;
+            }
+            Stmt::Stop { row } => {
+                self.enter(*row);
                 self.stopped = true;
-                Ok(())
             }
-            // Parallel I/O moves data between memory and the striped file
-            // system; the functional semantics of the program are unchanged,
-            // so evaluation treats it as a (counted) no-op.
-            Stmt::Io { span, .. } => {
-                self.tick(1, *span)?;
-                Ok(())
-            }
-        }
-    }
-
-    /// FORALL semantics: for *each body statement in order*, evaluate all
-    /// right-hand sides over the active index set, then commit all
-    /// assignments (Fortran 90D/HPF definition — "all the right-hand sides
-    /// being evaluated before any left-hand sides are assigned").
-    fn exec_forall(
-        &mut self,
-        header: &ForallHeader,
-        body: &[Stmt],
-        outer: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<()> {
-        // Resolve the index ranges. HPF evaluates all triplet bounds before
-        // any index takes a value, so bounds may reference *enclosing*
-        // forall indices (via `outer`) but not sibling triplets.
-        struct Range {
-            var: String,
-            lo: i64,
-            count: i64,
-            step: i64,
-        }
-        let mut ranges: Vec<Range> = Vec::with_capacity(header.triplets.len());
-        for t in &header.triplets {
-            let lo = self.eval_int_in(&t.lo, outer)?;
-            let hi = self.eval_int_in(&t.hi, outer)?;
-            let step = match &t.stride {
-                Some(s) => self.eval_int_in(s, outer)?,
-                None => 1,
-            };
-            if step == 0 {
-                return err("FORALL stride of zero", span);
-            }
-            let count = ((hi - lo) / step + 1).max(0);
-            ranges.push(Range {
-                var: t.var.clone(),
-                lo,
-                count,
-                step,
-            });
-        }
-        let total: i64 = ranges.iter().map(|r| r.count).product();
-        self.tick(total.max(0) as u64, span)?;
-
-        // Enumerate active tuples once (mask applied), reusing one env.
-        let mut env = outer.clone();
-        let mut active: Vec<Vec<i64>> = Vec::new();
-        let mut counters = vec![0i64; ranges.len()];
-        let mut mask_true = 0u64;
-        for _ in 0..total.max(0) {
-            let mut vals = Vec::with_capacity(ranges.len());
-            for (r, &c) in ranges.iter().zip(&counters) {
-                let v = r.lo + c * r.step;
-                env.insert(r.var.clone(), v);
-                vals.push(v);
-            }
-            let keep = match &header.mask {
-                None => true,
-                Some(m) => match self.eval_expr(m, &env)? {
-                    EvalValue::Scalar(Value::Logical(b)) => {
-                        if b {
-                            mask_true += 1;
-                        }
-                        b
-                    }
-                    _ => return err("FORALL mask must be scalar LOGICAL", span),
-                },
-            };
-            if keep {
-                active.push(vals);
-            }
-            // odometer, first triplet fastest
-            for d in 0..counters.len() {
-                counters[d] += 1;
-                if counters[d] < ranges[d].count {
-                    break;
-                }
-                counters[d] = 0;
-            }
-        }
-        if header.mask.is_some() {
-            let st = self.profile.entry(span);
-            st.mask_total += total.max(0) as u64;
-            st.mask_true += mask_true;
-        }
-        self.profile.entry(span).iterations += active.len() as u64;
-
-        let bind = |env: &mut IndexEnv, ranges: &[Range], vals: &[i64]| {
-            for (r, &v) in ranges.iter().zip(vals) {
-                env.insert(r.var.clone(), v);
-            }
-        };
-
-        for st in body {
-            match st {
-                Stmt::Assign {
-                    lhs,
-                    rhs,
-                    span: sspan,
-                } => {
-                    // Two-pass: gather (location, value), then commit.
-                    let mut updates: Vec<(Vec<i64>, Value)> = Vec::with_capacity(active.len());
-                    for vals in &active {
-                        bind(&mut env, &ranges, vals);
-                        let v = self.eval_expr(rhs, &env)?;
-                        let v = match v {
-                            EvalValue::Scalar(v) => v,
-                            EvalValue::Array(_) => {
-                                return err(
-                                    "array-valued RHS inside FORALL body is outside the subset",
-                                    *sspan,
-                                )
-                            }
-                        };
-                        let idx_vals = self.element_index(lhs, &env)?;
-                        updates.push((idx_vals, v));
-                    }
-                    for (idx_vals, v) in updates {
-                        self.store_element(&lhs.name, &idx_vals, v, *sspan)?;
-                    }
-                }
-                Stmt::Forall {
-                    header: h2,
-                    body: b2,
-                    span: s2,
-                } => {
-                    // Nested forall: execute per active tuple.
-                    for vals in &active {
-                        bind(&mut env, &ranges, vals);
-                        let inner = env.clone();
-                        self.exec_forall(h2, b2, &inner, *s2)?;
-                    }
-                }
-                other => {
-                    return err(
-                        "only assignments and nested FORALLs are allowed in a FORALL body",
-                        other.span(),
-                    )
-                }
+            Stmt::Fail { msg, row, span } => {
+                self.enter(*row);
+                return Err(fault(&**msg, *span));
             }
         }
         Ok(())
     }
 
-    fn exec_where(
+    /// Whole-array (`subs: None`) or section assignment. The right-hand
+    /// side is fully evaluated before any element is stored.
+    fn assign_array(
         &mut self,
-        mask: &Expr,
-        body: &[Stmt],
-        elsewhere: &[Stmt],
-        idx: &IndexEnv,
+        arr: usize,
+        subs: Option<&[Sub]>,
+        rhs: &Ex,
+        steps: u64,
         span: Span,
-    ) -> EvalResult<()> {
-        let m = match self.eval_expr(mask, idx)? {
-            EvalValue::Array(a) => a,
-            EvalValue::Scalar(_) => return err("WHERE mask must be an array", span),
+    ) -> R<()> {
+        let (m, c) = (&mut self.mem, &mut self.ctr);
+        c.tick(steps, span)?;
+        // Own the value before storing: it may read the target itself.
+        let v = match eval_ex(m, c, rhs)? {
+            Val::S(s) => Val::S(s),
+            Val::A(a) => Val::A(AVal::owned(a.extents.into_owned(), a.data.into_owned())),
         };
-        let trues = m.data.iter().filter(|v| v.truthy()).count() as u64;
-        self.profile.entry(span).mask_total += m.len() as u64;
-        self.profile.entry(span).mask_true += trues;
-        self.tick(m.len() as u64, span)?;
-
-        // Each body statement must be a conformable array assignment.
-        for (stmts, negate) in [(body, false), (elsewhere, true)] {
-            for st in stmts {
-                match st {
-                    Stmt::Assign {
-                        lhs,
-                        rhs,
-                        span: sspan,
-                    } => {
-                        let rhs_v = self.eval_expr(rhs, idx)?;
-                        let cur = match self.env.get(&lhs.name) {
-                            Some(Binding::Array(a)) => a.clone(),
-                            _ => return err("WHERE assignment target must be an array", *sspan),
-                        };
-                        if !lhs.subs.is_empty() {
-                            return err(
-                                "sections on WHERE assignment targets are outside the subset",
-                                *sspan,
-                            );
-                        }
-                        let mut newv = cur.clone();
-                        for off in 0..cur.len() {
-                            let active = m.data[off].truthy() != negate;
-                            if !active {
-                                continue;
-                            }
-                            let v = match &rhs_v {
-                                EvalValue::Scalar(v) => v.clone(),
-                                EvalValue::Array(a) => {
-                                    if !a.conformable(&cur) {
-                                        return err("WHERE operands not conformable", *sspan);
-                                    }
-                                    a.data[off].clone()
-                                }
-                            };
-                            newv.data[off] = v;
-                        }
-                        self.env.insert(lhs.name.clone(), Binding::Array(newv));
-                    }
-                    other => return err("WHERE body must contain only assignments", other.span()),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ---- assignment --------------------------------------------------------
-
-    fn assign(
-        &mut self,
-        lhs: &DataRef,
-        v: EvalValue,
-        idx: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<()> {
-        let is_array = matches!(self.env.get(&lhs.name), Some(Binding::Array(_)));
-        if !is_array {
-            if !lhs.subs.is_empty() {
-                return err(format!("`{}` is not an array", lhs.name), span);
-            }
-            let v = match v {
-                EvalValue::Scalar(v) => v,
-                EvalValue::Array(_) => return err("cannot assign array to scalar", span),
-            };
-            let v = self.coerce_to_symbol_type(&lhs.name, v);
-            self.tick(1, span)?;
-            self.env.insert(lhs.name.clone(), Binding::Scalar(v));
-            return Ok(());
-        }
-        if lhs.subs.iter().all(|s| s.is_index()) && !lhs.subs.is_empty() {
-            // Element assignment.
-            let idx_vals = self.element_index(lhs, idx)?;
-            let v = match v {
-                EvalValue::Scalar(v) => v,
-                EvalValue::Array(_) => return err("cannot assign array to array element", span),
-            };
-            self.tick(1, span)?;
-            return self.store_element(&lhs.name, &idx_vals, v, span);
-        }
-        // Whole-array or section assignment, written in place.
-        let Some(meta) = self.array_meta(&lhs.name) else {
-            return err(format!("`{}` is not an array", lhs.name), span);
+        let target = &m.arrays[arr];
+        let offsets = match subs {
+            None => None,
+            Some(subs) => Some(section(m, c, target, subs, span)?.0),
         };
-        let (offsets, sec_extents) = self.section_offsets(&meta, lhs, idx, span)?;
-        self.tick(offsets.len() as u64, span)?;
-        let ty = self.analyzed.symbols.get(&lhs.name).map(|s| s.ty);
-        let coerce = |v: Value| match ty {
-            Some(TypeSpec::Integer) => Value::Int(v.as_i64().unwrap_or(0)),
-            Some(TypeSpec::Real | TypeSpec::DoublePrecision) => {
-                Value::Real(v.as_f64().unwrap_or(0.0))
-            }
-            _ => v,
-        };
-        let target = match self.env.get_mut(&lhs.name) {
-            Some(Binding::Array(a)) => a,
-            _ => unreachable!("checked above"),
-        };
+        let n = offsets.as_ref().map_or(target.data.len(), Vec::len);
+        c.tick(n as u64, span)?;
+        let data = &mut m.arrays[arr].data;
         match v {
-            EvalValue::Scalar(v) => {
-                for &off in &offsets {
-                    target.data[off] = coerce(v.clone());
-                }
-            }
-            EvalValue::Array(a) => {
-                let n: usize = sec_extents.iter().product();
+            Val::S(s) => match &offsets {
+                None => (0..n).for_each(|k| data.set(k, s)),
+                Some(o) => o.iter().for_each(|&k| data.set(k, s)),
+            },
+            Val::A(a) => {
                 if a.len() != n {
-                    return err(
+                    return Err(fault(
                         format!(
                             "shape mismatch in assignment: section has {n} elements, RHS has {}",
                             a.len()
                         ),
                         span,
-                    );
+                    ));
                 }
-                for (k, &off) in offsets.iter().enumerate() {
-                    target.data[off] = coerce(a.data[k].clone());
-                }
+                data.scatter(offsets.as_deref(), &a.data);
             }
         }
         Ok(())
     }
 
-    fn coerce_to_symbol_type(&self, name: &str, v: Value) -> Value {
-        match self.analyzed.symbols.get(name).map(|s| s.ty) {
-            Some(TypeSpec::Integer) => Value::Int(v.as_i64().unwrap_or(0)),
-            Some(TypeSpec::Real | TypeSpec::DoublePrecision) => {
-                Value::Real(v.as_f64().unwrap_or(0.0))
-            }
-            _ => v,
-        }
-    }
-
-    fn store_element(
-        &mut self,
-        name: &str,
-        idx_vals: &[i64],
-        v: Value,
-        span: Span,
-    ) -> EvalResult<()> {
-        let v = self.coerce_to_symbol_type(name, v);
-        match self.env.get_mut(name) {
-            Some(Binding::Array(a)) => {
-                if a.set(idx_vals, v) {
-                    Ok(())
-                } else {
-                    err(
-                        format!("index {idx_vals:?} out of bounds for `{name}`"),
-                        span,
-                    )
-                }
-            }
-            _ => err(format!("`{name}` is not an array"), span),
-        }
-    }
-
-    /// Evaluate the (all-Index) subscripts of an element reference.
-    fn element_index(&mut self, r: &DataRef, idx: &IndexEnv) -> EvalResult<Vec<i64>> {
-        let mut out = Vec::with_capacity(r.subs.len());
-        for s in &r.subs {
-            match s {
-                Subscript::Index(e) => out.push(self.eval_int_in(e, idx)?),
-                Subscript::Triplet { .. } => {
-                    return err("expected element subscript, found section", r.span)
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Compute the column-major linear offsets selected by a (possibly
-    /// sectioned) reference, plus the section's extents.
-    fn section_offsets(
-        &mut self,
-        arr: &ArrayMeta,
-        r: &DataRef,
-        idx: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<(Vec<usize>, Vec<usize>)> {
-        if r.subs.is_empty() {
-            return Ok(((0..arr.len()).collect(), arr.extents.clone()));
-        }
-        if r.subs.len() != arr.rank() {
-            return err(
-                format!("rank mismatch: `{}` has rank {}", r.name, arr.rank()),
-                span,
-            );
-        }
-        // Per-dimension index lists.
-        let mut dim_lists: Vec<Vec<i64>> = Vec::with_capacity(arr.rank());
-        let mut sec_extents = Vec::new();
-        for (d, s) in r.subs.iter().enumerate() {
-            match s {
-                Subscript::Index(e) => {
-                    dim_lists.push(vec![self.eval_int_in(e, idx)?]);
-                }
-                Subscript::Triplet { lo, hi, stride } => {
-                    let lb = arr.lbounds[d];
-                    let ub = lb + arr.extents[d] as i64 - 1;
-                    let lo = match lo {
-                        Some(e) => self.eval_int_in(e, idx)?,
-                        None => lb,
-                    };
-                    let hi = match hi {
-                        Some(e) => self.eval_int_in(e, idx)?,
-                        None => ub,
-                    };
-                    let step = match stride {
-                        Some(e) => self.eval_int_in(e, idx)?,
-                        None => 1,
-                    };
-                    if step == 0 {
-                        return err("section stride of zero", span);
-                    }
-                    let mut list = Vec::new();
-                    let mut i = lo;
-                    loop {
-                        let done = if step > 0 { i > hi } else { i < hi };
-                        if done {
-                            break;
-                        }
-                        list.push(i);
-                        i += step;
-                    }
-                    sec_extents.push(list.len());
-                    dim_lists.push(list);
-                }
-            }
-        }
-        if sec_extents.is_empty() {
-            sec_extents.push(1); // pure element treated as 1-element section
-        }
-        // Cartesian product in column-major order (first dim varies fastest).
-        let mut offsets = Vec::new();
-        let total: usize = dim_lists.iter().map(|l| l.len()).product();
-        let mut counters = vec![0usize; dim_lists.len()];
-        for _ in 0..total {
-            let mut index = Vec::with_capacity(dim_lists.len());
-            for (d, c) in counters.iter().enumerate() {
-                index.push(dim_lists[d][*c]);
-            }
-            match arr.offset(&index) {
-                Some(o) => offsets.push(o),
-                None => return err(format!("section index {index:?} out of bounds"), span),
-            }
-            // Increment odometer, first dimension fastest.
-            for d in 0..counters.len() {
-                counters[d] += 1;
-                if counters[d] < dim_lists[d].len() {
-                    break;
-                }
-                counters[d] = 0;
-            }
-        }
-        Ok((offsets, sec_extents))
-    }
-
-    // ---- expressions --------------------------------------------------------
-
-    fn eval_int(&mut self, e: &Expr, idx: &IndexEnv) -> EvalResult<i64> {
-        self.eval_int_in(e, idx)
-    }
-
-    fn eval_int_in(&mut self, e: &Expr, idx: &IndexEnv) -> EvalResult<i64> {
-        match self.eval_expr(e, idx)? {
-            EvalValue::Scalar(v) => v.as_i64().ok_or_else(|| EvalError {
-                message: "expected integer value".into(),
-                span: e.span(),
-            }),
-            _ => err("expected scalar integer, found array", e.span()),
-        }
-    }
-
-    fn eval_expr(&mut self, e: &Expr, idx: &IndexEnv) -> EvalResult<EvalValue> {
-        self.tick(1, e.span())?;
-        match e {
-            Expr::IntLit(v, _) => Ok(EvalValue::Scalar(Value::Int(*v))),
-            Expr::RealLit(v, _) => Ok(EvalValue::Scalar(Value::Real(*v))),
-            Expr::LogicalLit(v, _) => Ok(EvalValue::Scalar(Value::Logical(*v))),
-            Expr::StrLit(s, _) => Ok(EvalValue::Scalar(Value::Str(s.clone()))),
-            Expr::Ref(r) => self.eval_ref(r, idx),
-            Expr::Intrinsic { name, args, span } => self.eval_intrinsic(*name, args, idx, *span),
-            Expr::Unary { op, operand, span } => {
-                let v = self.eval_expr(operand, idx)?;
-                match v {
-                    EvalValue::Scalar(v) => value_ops::apply_unary(*op, &v)
-                        .map(EvalValue::Scalar)
-                        .ok_or_else(|| EvalError {
-                            message: "bad operand for unary operator".into(),
-                            span: *span,
-                        }),
-                    EvalValue::Array(mut a) => {
-                        self.tick(a.len() as u64, *span)?;
-                        for v in &mut a.data {
-                            *v = value_ops::apply_unary(*op, v).ok_or_else(|| EvalError {
-                                message: "bad array operand for unary operator".into(),
-                                span: *span,
-                            })?;
-                        }
-                        Ok(EvalValue::Array(a))
-                    }
-                }
-            }
-            Expr::Binary { op, lhs, rhs, span } => {
-                let l = self.eval_expr(lhs, idx)?;
-                let r = self.eval_expr(rhs, idx)?;
-                self.apply_binary_elemental(*op, l, r, *span)
-            }
-        }
-    }
-
-    fn apply_binary_elemental(
-        &mut self,
-        op: BinOp,
-        l: EvalValue,
-        r: EvalValue,
-        span: Span,
-    ) -> EvalResult<EvalValue> {
-        use EvalValue::*;
-        match (l, r) {
-            (Scalar(a), Scalar(b)) => {
-                value_ops::apply_binary(op, &a, &b)
-                    .map(Scalar)
-                    .ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
-                    })
-            }
-            (Array(a), Scalar(b)) => {
-                self.tick(a.len() as u64, span)?;
-                let mut out = a.clone();
-                for (o, v) in out.data.iter_mut().zip(&a.data) {
-                    *o = value_ops::apply_binary(op, v, &b).ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
-                    })?;
-                }
-                Ok(Array(out))
-            }
-            (Scalar(a), Array(b)) => {
-                self.tick(b.len() as u64, span)?;
-                let mut out = b.clone();
-                for (o, v) in out.data.iter_mut().zip(&b.data) {
-                    *o = value_ops::apply_binary(op, &a, v).ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
-                    })?;
-                }
-                Ok(Array(out))
-            }
-            (Array(a), Array(b)) => {
-                if !a.conformable(&b) {
-                    return err("operands not conformable", span);
-                }
-                self.tick(a.len() as u64, span)?;
-                let mut out = a.clone();
-                for ((o, x), y) in out.data.iter_mut().zip(&a.data).zip(&b.data) {
-                    *o = value_ops::apply_binary(op, x, y).ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
-                    })?;
-                }
-                Ok(Array(out))
-            }
-        }
-    }
-
-    fn eval_ref(&mut self, r: &DataRef, idx: &IndexEnv) -> EvalResult<EvalValue> {
-        // forall / implied-do dummies shadow the environment.
-        if r.subs.is_empty() {
-            if let Some(v) = idx.get(&r.name) {
-                return Ok(EvalValue::Scalar(Value::Int(*v)));
-            }
-            // Named constants live in the symbol table, not the store.
-            if let Some(SymbolKind::Parameter { value }) =
-                self.analyzed.symbols.get(&r.name).map(|s| &s.kind)
-            {
-                return Ok(EvalValue::Scalar(value.clone()));
-            }
-        }
-        // Fast paths avoid cloning array storage: indices are evaluated
-        // first (which may tick), then the store is borrowed immutably.
-        match self.env.get(&r.name) {
-            Some(Binding::Scalar(_)) => {
-                if !r.subs.is_empty() {
-                    return err(format!("`{}` is not an array", r.name), r.span);
-                }
-                match self.env.get(&r.name) {
-                    Some(Binding::Scalar(v)) => Ok(EvalValue::Scalar(v.clone())),
-                    _ => unreachable!("checked above"),
-                }
-            }
-            Some(Binding::Array(_)) => {
-                if r.subs.is_empty() {
-                    match self.env.get(&r.name) {
-                        Some(Binding::Array(a)) => return Ok(EvalValue::Array(a.clone())),
-                        _ => unreachable!(),
-                    }
-                }
-                if r.subs.iter().all(|s| s.is_index()) {
-                    let iv = self.element_index(r, idx)?;
-                    match self.env.get(&r.name) {
-                        Some(Binding::Array(a)) => match a.get(&iv) {
-                            Some(v) => Ok(EvalValue::Scalar(v.clone())),
-                            None => err(
-                                format!("index {iv:?} out of bounds for `{}`", r.name),
-                                r.span,
-                            ),
-                        },
-                        _ => unreachable!(),
-                    }
-                } else {
-                    let Some(meta) = self.array_meta(&r.name) else {
-                        return err(format!("`{}` is not an array", r.name), r.span);
-                    };
-                    let (offsets, sec_extents) = self.section_offsets(&meta, r, idx, r.span)?;
-                    self.tick(offsets.len() as u64, r.span)?;
-                    let a = match self.env.get(&r.name) {
-                        Some(Binding::Array(a)) => a,
-                        _ => unreachable!(),
-                    };
-                    let data: Vec<Value> = offsets.iter().map(|&o| a.data[o].clone()).collect();
-                    // Rank of the section = number of triplet subscripts.
-                    let extents = if sec_extents.is_empty() {
-                        vec![data.len()]
-                    } else {
-                        sec_extents
-                    };
-                    Ok(EvalValue::Array(ArrayVal {
-                        lbounds: vec![1; extents.len()],
-                        extents,
-                        data,
-                    }))
-                }
-            }
-            None => err(format!("undefined variable `{}`", r.name), r.span),
-        }
-    }
-
-    /// Cheap copy of an array's bounds metadata (no element data).
-    fn array_meta(&self, name: &str) -> Option<ArrayMeta> {
-        match self.env.get(name) {
-            Some(Binding::Array(a)) => Some(ArrayMeta {
-                lbounds: a.lbounds.clone(),
-                extents: a.extents.clone(),
-            }),
-            _ => None,
-        }
-    }
-
-    fn eval_intrinsic(
-        &mut self,
-        name: Intrinsic,
-        args: &[Expr],
-        idx: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<EvalValue> {
-        use Intrinsic::*;
-        let vals: Vec<EvalValue> = args
-            .iter()
-            .map(|a| self.eval_expr(a, idx))
-            .collect::<EvalResult<_>>()?;
-
-        // Transformational (array) intrinsics.
-        match name {
-            CShift | TShift | EoShift => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "shift of non-array".into(),
-                        span,
-                    })?;
-                let shift = match vals
-                    .get(1)
-                    .and_then(|v| v.as_scalar())
-                    .and_then(|v| v.as_i64())
-                {
-                    Some(s) => s,
-                    None => return err("shift amount must be scalar integer", span),
-                };
-                let dim = match vals.get(2) {
-                    Some(v) => v.as_scalar().and_then(|v| v.as_i64()).unwrap_or(1) as usize,
+    /// FORALL over every tuple of `outer` (the enclosing FORALLs' active
+    /// index tuples; a single empty tuple at top level). Each body
+    /// assignment evaluates its right-hand side over the whole combined
+    /// index set into the scratch buffer before storing anything.
+    fn forall(&mut self, f: &Forall, outer: &Tuples) -> R<()> {
+        let base = f.base;
+        let stride = base + f.triplets.len();
+        let mut active = Tuples {
+            stride,
+            count: 0,
+            data: Vec::new(),
+        };
+        let mut ranges: Vec<(i64, i64, i64)> = Vec::with_capacity(f.triplets.len());
+        for t in 0..outer.count {
+            self.seen[f.row] = true;
+            let (m, c) = (&mut self.mem, &mut self.ctr);
+            m.idx[..base].copy_from_slice(outer.get(t));
+            // All triplet bounds are evaluated before any index takes a value.
+            c.tick(f.triplet_steps, f.span)?;
+            ranges.clear();
+            for (lo, hi, st) in &f.triplets {
+                let lo = eval_int(m, c, lo, f.span)?;
+                let hi = eval_int(m, c, hi, f.span)?;
+                let step = match st {
+                    Some(s) => eval_int(m, c, s, f.span)?,
                     None => 1,
                 };
-                self.tick(a.len() as u64, span)?;
-                let out = if name == CShift {
-                    a.cshift(shift, dim)
-                } else {
-                    a.eoshift(shift, dim)
+                if step == 0 {
+                    return Err(fault("FORALL stride of zero", f.span));
+                }
+                let count = hi
+                    .wrapping_sub(lo)
+                    .wrapping_div(step)
+                    .wrapping_add(1)
+                    .max(0);
+                ranges.push((lo, count, step));
+            }
+            let total = ranges.iter().fold(1i64, |p, r| p.wrapping_mul(r.1)).max(0) as u64;
+            c.tick(total, f.span)?;
+            if let Some((_, mask_steps)) = &f.mask {
+                c.tick(total.saturating_mul(*mask_steps), f.span)?;
+            }
+            // Enumerate the index space, first triplet fastest.
+            let before = active.count;
+            let mut mask_true = 0u64;
+            let mut counters = vec![0i64; ranges.len()];
+            for _ in 0..total {
+                for (d, (&(lo, _, step), &k)) in ranges.iter().zip(&counters).enumerate() {
+                    m.idx[base + d] = lo.wrapping_add(k.wrapping_mul(step));
+                }
+                let keep = match &f.mask {
+                    None => true,
+                    Some((mask, _)) => match eval_s(m, c, mask)? {
+                        Scalar::Logical(b) => b,
+                        _ => return Err(fault("FORALL mask must be scalar LOGICAL", f.span)),
+                    },
                 };
-                out.map(EvalValue::Array).ok_or_else(|| EvalError {
-                    message: "bad shift dimension".into(),
+                if keep {
+                    mask_true += 1;
+                    active.data.extend_from_slice(&m.idx[..stride]);
+                    active.count += 1;
+                }
+                for d in 0..counters.len() {
+                    counters[d] += 1;
+                    if counters[d] < ranges[d].1 {
+                        break;
+                    }
+                    counters[d] = 0;
+                }
+            }
+            let st = &mut self.stats[f.row];
+            if f.mask.is_some() {
+                st.mask_total += total;
+                st.mask_true += mask_true;
+            }
+            st.iterations += (active.count - before) as u64;
+        }
+
+        for item in &f.body {
+            match item {
+                ForallItem::Assign {
+                    target,
+                    subs,
+                    rhs,
+                    steps,
                     span,
-                })
-            }
-            Sum | Product | MaxVal | MinVal => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "reduction of non-array".into(),
-                        span,
-                    })?;
-                self.tick(a.len() as u64, span)?;
-                let mut acc: Option<Value> = None;
-                for v in &a.data {
-                    acc = Some(match &acc {
-                        None => v.clone(),
-                        Some(cur) => {
-                            let combined = match name {
-                                Sum => value_ops::apply_binary(BinOp::Add, cur, v),
-                                Product => value_ops::apply_binary(BinOp::Mul, cur, v),
-                                MaxVal => value_ops::apply_intrinsic_scalar(
-                                    Max,
-                                    &[cur.clone(), v.clone()],
-                                ),
-                                MinVal => value_ops::apply_intrinsic_scalar(
-                                    Min,
-                                    &[cur.clone(), v.clone()],
-                                ),
-                                _ => unreachable!(),
-                            };
-                            combined.ok_or_else(|| EvalError {
-                                message: "non-numeric reduction".into(),
-                                span,
-                            })?
-                        }
-                    });
-                }
-                let zero = match name {
-                    Sum => Value::Real(0.0),
-                    Product => Value::Real(1.0),
-                    _ => Value::Real(f64::NEG_INFINITY),
-                };
-                Ok(EvalValue::Scalar(acc.unwrap_or(zero)))
-            }
-            MaxLoc | MinLoc => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "maxloc of non-array".into(),
-                        span,
-                    })?;
-                if a.rank() != 1 {
-                    return err("MAXLOC/MINLOC restricted to rank-1 in the subset", span);
-                }
-                self.tick(a.len() as u64, span)?;
-                let mut best: Option<(usize, f64)> = None;
-                for (i, v) in a.data.iter().enumerate() {
-                    let x = v.as_f64().ok_or_else(|| EvalError {
-                        message: "non-numeric maxloc".into(),
-                        span,
-                    })?;
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => {
-                            if name == MaxLoc {
-                                x > b
-                            } else {
-                                x < b
+                } => {
+                    if active.count == 0 {
+                        continue;
+                    }
+                    let arr = *target.as_ref().map_err(|msg| fault(&**msg, *span))?;
+                    let (m, c) = (&mut self.mem, &mut self.ctr);
+                    c.tick((active.count as u64).saturating_mul(*steps), *span)?;
+                    let mut scratch = std::mem::take(&mut self.scratch);
+                    scratch.clear();
+                    for t in 0..active.count {
+                        m.idx[..stride].copy_from_slice(active.get(t));
+                        let v = eval_s(m, c, rhs)?;
+                        let off = elem_offset(m, c, &m.arrays[arr], subs, *span)?;
+                        scratch.push((off, v));
+                    }
+                    let data = &mut m.arrays[arr].data;
+                    match data {
+                        Data::Real(d) => {
+                            for &(off, v) in &scratch {
+                                d[off] = v.as_f64().unwrap_or(0.0);
                             }
                         }
-                    };
-                    if better {
-                        best = Some((i, x));
-                    }
-                }
-                // Fortran returns a rank-1 result array; subset returns the
-                // 1-based position as a scalar INTEGER for simplicity.
-                Ok(EvalValue::Scalar(Value::Int(
-                    best.map(|(i, _)| i as i64 + 1).unwrap_or(0),
-                )))
-            }
-            DotProduct => {
-                let a = vals.first().and_then(|v| v.as_array());
-                let b = vals.get(1).and_then(|v| v.as_array());
-                match (a, b) {
-                    (Some(a), Some(b)) if a.conformable(b) => {
-                        self.tick(2 * a.len() as u64, span)?;
-                        let mut acc = 0.0f64;
-                        for (x, y) in a.data.iter().zip(&b.data) {
-                            acc += x.as_f64().unwrap_or(0.0) * y.as_f64().unwrap_or(0.0);
-                        }
-                        Ok(EvalValue::Scalar(Value::Real(acc)))
-                    }
-                    _ => err("DOT_PRODUCT of non-conformable arrays", span),
-                }
-            }
-            Transpose => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "transpose of non-array".into(),
-                        span,
-                    })?;
-                self.tick(a.len() as u64, span)?;
-                a.transpose()
-                    .map(EvalValue::Array)
-                    .ok_or_else(|| EvalError {
-                        message: "TRANSPOSE needs rank 2".into(),
-                        span,
-                    })
-            }
-            MatMul => {
-                let a = vals.first().and_then(|v| v.as_array());
-                let b = vals.get(1).and_then(|v| v.as_array());
-                match (a, b) {
-                    (Some(a), Some(b)) if a.rank() == 2 && b.rank() == 2 => {
-                        let (m, k) = (a.extents[0], a.extents[1]);
-                        let (k2, n) = (b.extents[0], b.extents[1]);
-                        if k != k2 {
-                            return err("MATMUL inner dimensions disagree", span);
-                        }
-                        self.tick((m * n * k) as u64, span)?;
-                        let mut out = ArrayVal {
-                            lbounds: vec![1, 1],
-                            extents: vec![m, n],
-                            data: vec![Value::Real(0.0); m * n],
-                        };
-                        for j in 0..n {
-                            for i in 0..m {
-                                let mut acc = 0.0;
-                                for p in 0..k {
-                                    let x = a.data[i + p * m].as_f64().unwrap_or(0.0);
-                                    let y = b.data[p + j * k].as_f64().unwrap_or(0.0);
-                                    acc += x * y;
-                                }
-                                out.data[i + j * m] = Value::Real(acc);
+                        _ => {
+                            for &(off, v) in &scratch {
+                                data.set(off, v);
                             }
                         }
-                        Ok(EvalValue::Array(out))
                     }
-                    _ => err("MATMUL needs two rank-2 arrays", span),
+                    self.scratch = scratch;
                 }
-            }
-            Spread => err(
-                "SPREAD is not supported by the functional interpreter",
-                span,
-            ),
-            Size => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "SIZE of non-array".into(),
-                        span,
-                    })?;
-                match vals.get(1) {
-                    None => Ok(EvalValue::Scalar(Value::Int(a.len() as i64))),
-                    Some(d) => {
-                        let d = d.as_scalar().and_then(|v| v.as_i64()).unwrap_or(1) as usize;
-                        if d == 0 || d > a.rank() {
-                            return err("SIZE dim out of range", span);
-                        }
-                        Ok(EvalValue::Scalar(Value::Int(a.extents[d - 1] as i64)))
-                    }
-                }
-            }
-            // Elemental intrinsics: map over arrays, apply to scalars.
-            _ => {
-                let any_array = vals.iter().any(|v| matches!(v, EvalValue::Array(_)));
-                if !any_array {
-                    let scalars: Vec<Value> =
-                        vals.iter().filter_map(|v| v.as_scalar().cloned()).collect();
-                    return value_ops::apply_intrinsic_scalar(name, &scalars)
-                        .map(EvalValue::Scalar)
-                        .ok_or_else(|| EvalError {
-                            message: format!("bad arguments to {}", name.name()),
-                            span,
-                        });
-                }
-                // Elementwise with scalar broadcast.
-                let Some(shape) = vals.iter().find_map(|v| v.as_array()).cloned() else {
-                    return err(format!("bad arguments to {}", name.name()), span);
-                };
-                for v in &vals {
-                    if let EvalValue::Array(a) = v {
-                        if !a.conformable(&shape) {
-                            return err("elemental intrinsic operands not conformable", span);
-                        }
-                    }
-                }
-                self.tick(shape.len() as u64, span)?;
-                let mut out = shape.clone();
-                for off in 0..shape.len() {
-                    let scalars: Vec<Value> = vals
-                        .iter()
-                        .map(|v| match v {
-                            EvalValue::Scalar(s) => s.clone(),
-                            EvalValue::Array(a) => a.data[off].clone(),
-                        })
-                        .collect();
-                    out.data[off] =
-                        value_ops::apply_intrinsic_scalar(name, &scalars).ok_or_else(|| {
-                            EvalError {
-                                message: format!("bad arguments to {}", name.name()),
-                                span,
-                            }
-                        })?;
-                }
-                Ok(EvalValue::Array(out))
+                ForallItem::Nested(inner) => self.forall(inner, &active)?,
+                ForallItem::Fail(msg, span) => return Err(fault(&**msg, *span)),
             }
         }
+        Ok(())
+    }
+
+    /// WHERE / ELSEWHERE: the mask is evaluated once; each body
+    /// assignment then stores its right-hand side where the mask holds
+    /// (ELSEWHERE: where it does not).
+    fn where_(&mut self, w: &Where) -> R<()> {
+        let (m, c) = (&mut self.mem, &mut self.ctr);
+        c.tick(w.mask_steps, w.span)?;
+        let mask: Vec<bool> = match eval_ex(m, c, &w.mask)? {
+            Val::A(a) => (0..a.len()).map(|i| a.data.get(i).truthy()).collect(),
+            Val::S(_) => return Err(fault("WHERE mask must be an array", w.span)),
+        };
+        let trues = mask.iter().filter(|&&b| b).count() as u64;
+        let st = &mut self.stats[w.row];
+        st.mask_total += mask.len() as u64;
+        st.mask_true += trues;
+        c.tick(mask.len() as u64, w.span)?;
+
+        for (items, negate) in [(&w.body, false), (&w.elsewhere, true)] {
+            for item in items {
+                let (target, rhs, steps, span) = match item {
+                    WhereItem::Assign {
+                        target,
+                        rhs,
+                        steps,
+                        span,
+                    } => (target, rhs, steps, span),
+                    WhereItem::Fail(msg, span) => return Err(fault(&**msg, *span)),
+                };
+                c.tick(*steps, *span)?;
+                let v = match eval_ex(m, c, rhs)? {
+                    Val::S(s) => Val::S(s),
+                    Val::A(a) => Val::A(AVal::owned(a.extents.into_owned(), a.data.into_owned())),
+                };
+                let arr = *target.as_ref().map_err(|msg| fault(&**msg, *span))?;
+                let target = &mut m.arrays[arr];
+                if mask.len() < target.data.len() {
+                    return Err(fault("WHERE mask and target not conformable", *span));
+                }
+                for (off, &on) in mask.iter().enumerate().take(target.data.len()) {
+                    if on == negate {
+                        continue;
+                    }
+                    let x = match &v {
+                        Val::S(s) => *s,
+                        Val::A(a) => {
+                            if *a.extents != target.extents[..] {
+                                return Err(fault("WHERE operands not conformable", *span));
+                            }
+                            a.data.get(off)
+                        }
+                    };
+                    target.data.set(off, x);
+                }
+            }
+        }
+        Ok(())
     }
 }

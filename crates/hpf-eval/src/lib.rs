@@ -10,12 +10,13 @@
 //! ground-truth timing, plus all PRINT output and final scalar values for
 //! semantics tests.
 
-pub mod array;
+mod data;
 pub mod eval;
+mod lower;
 pub mod profile;
+mod scalar;
 
-pub use array::ArrayVal;
-pub use eval::{run, run_with_limit, EvalError, EvalValue, RunOutcome};
+pub use eval::{run, run_with_limit, EvalError, RunOutcome, DEFAULT_STEP_LIMIT};
 pub use profile::{ExecutionProfile, StmtStats};
 
 #[cfg(test)]
@@ -388,6 +389,86 @@ END
 ",
         );
         assert_eq!(f(&out, "S"), 4.0 * (1.0 + 2.0 + 3.0 + 4.0));
+    }
+
+    /// A nested FORALL construct is one assignment over the combined index
+    /// set: every right-hand side is read before any element is stored,
+    /// exactly as in the single-header form.
+    #[test]
+    fn nested_forall_reads_before_any_store() {
+        let init = "PROGRAM T
+REAL A(4,2), X, Y
+FORALL (I = 1:4, J = 1:2) A(I,J) = I * 1.0
+";
+        let nested = run_src(&format!(
+            "{init}FORALL (I = 2:4)
+FORALL (J = 1:2) A(I,J) = A(I-1,J) + 10.0
+END FORALL
+X = A(3,1)
+Y = A(4,1)
+END
+"
+        ));
+        let flat = run_src(&format!(
+            "{init}FORALL (I = 2:4, J = 1:2) A(I,J) = A(I-1,J) + 10.0
+X = A(3,1)
+Y = A(4,1)
+END
+"
+        ));
+        assert_eq!((f(&nested, "X"), f(&nested, "Y")), (12.0, 13.0));
+        assert_eq!((f(&flat, "X"), f(&flat, "Y")), (12.0, 13.0));
+
+        // Per-span stats: the outer FORALL executes once over 3 points;
+        // the inner one is entered per outer point (2 points each) and,
+        // not being a statement of its own, counts no executions.
+        let outer = nested.profile.by_line(4).unwrap();
+        let inner = nested.profile.by_line(5).unwrap();
+        assert_eq!((outer.executions, outer.iterations), (1, 3));
+        assert_eq!((inner.executions, inner.iterations), (0, 6));
+    }
+
+    /// Inner FORALL bounds may depend on the outer index.
+    #[test]
+    fn nested_forall_triangular_bounds() {
+        let out = run_src(
+            "PROGRAM T
+REAL A(4,4), S
+FORALL (I = 1:4)
+FORALL (J = 1:I) A(I,J) = 1.0
+END FORALL
+S = SUM(A)
+END
+",
+        );
+        assert_eq!(f(&out, "S"), 10.0);
+    }
+
+    #[test]
+    fn minval_of_empty_array_is_plus_infinity() {
+        let out =
+            run_src("PROGRAM T\nREAL A(4), X, Y\nX = MINVAL(A(3:2))\nY = MAXVAL(A(3:2))\nEND\n");
+        assert_eq!(f(&out, "X"), f64::INFINITY);
+        assert_eq!(f(&out, "Y"), f64::NEG_INFINITY);
+    }
+
+    /// Integer division tells an INTEGER identity from a REAL one.
+    #[test]
+    fn sum_of_empty_integer_array_is_integer_zero() {
+        let out = run_src(
+            "PROGRAM T\nINTEGER IA(4)\nREAL A(4), X, Y\nX = (SUM(IA(3:2)) + 3) / 2\nY = (SUM(A(3:2)) + 3) / 2\nEND\n",
+        );
+        assert_eq!(f(&out, "X"), 1.0);
+        assert_eq!(f(&out, "Y"), 1.5);
+    }
+
+    #[test]
+    fn product_of_empty_integer_array_is_integer_one() {
+        let out = run_src(
+            "PROGRAM T\nINTEGER IA(4)\nREAL A(4), X, Y\nX = (PRODUCT(IA(3:2)) + 2) / 2\nY = (PRODUCT(A(3:2)) + 2) / 2\nEND\n",
+        );
+        assert_eq!(f(&out, "X"), 1.0);
+        assert_eq!(f(&out, "Y"), 1.5);
     }
 
     #[test]

@@ -43,6 +43,17 @@ pub struct ExecutionProfile {
 }
 
 impl ExecutionProfile {
+    /// A profile from `(span key, stats)` rows and a step total.
+    pub(crate) fn from_rows(
+        rows: impl IntoIterator<Item = ((u32, u32), StmtStats)>,
+        total_steps: u64,
+    ) -> ExecutionProfile {
+        ExecutionProfile {
+            stats: rows.into_iter().collect(),
+            total_steps,
+        }
+    }
+
     fn key(span: Span) -> (u32, u32) {
         (span.line, span.start)
     }
