@@ -6,6 +6,7 @@
 
 use hpf_report::experiments::SweepConfig;
 use hpf_report::pipeline::{calibrated_machine, compile_source, predict_source_on, PredictOptions};
+use hpf_report::shared_profile;
 use interp::InterpOptions;
 use ipsc_sim::{SimConfig, Simulator};
 
@@ -109,9 +110,7 @@ fn main() {
                 },
             )
             .expect("compile");
-            let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-                .ok()
-                .map(|o| o.profile);
+            let (profile, _) = shared_profile(&src, *size, cfg.profile_steps, &analyzed);
             let raw = machine::ipsc860(procs);
             let meas = Simulator::with_config(
                 &raw,
@@ -120,7 +119,7 @@ fn main() {
                     ..Default::default()
                 },
             )
-            .simulate(&spmd, profile.as_ref());
+            .simulate(&spmd, profile.as_deref());
 
             let err = 100.0 * (pred.total_seconds() - meas.mean).abs() / meas.mean;
             errs.push(err);

@@ -10,6 +10,7 @@
 //! can be evaluated in the same predicted-vs-simulated frame as Table 2.
 
 use crate::pipeline::{calibrated_machine, compile_source, PipelineError, PipelineStage};
+use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
 use hpf_io::{CheckpointSchedule, IoKind, IoPhase};
 use ipsc_sim::{io_base_time, SimConfig, Simulator};
@@ -136,9 +137,7 @@ pub fn checkpoint_experiment(
         )
     })?;
 
-    let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-        .ok()
-        .map(|o| o.profile);
+    let (profile, _) = shared_profile(&src, cfg.size, cfg.profile_steps, &analyzed);
     let aag = appgraph::build_aag(&spmd);
 
     // Predicted frame: analytic engine on the calibrated machine, healthy
@@ -162,7 +161,7 @@ pub fn checkpoint_experiment(
             ..Default::default()
         },
     );
-    let meas = sim.simulate(&spmd, profile.as_ref());
+    let meas = sim.simulate(&spmd, profile.as_deref());
     let work_s = (meas.mean - meas.io).max(0.0);
     let sim_deg = Simulator::with_config(
         &raw,
@@ -172,7 +171,7 @@ pub fn checkpoint_experiment(
             ..Default::default()
         },
     );
-    let meas_deg = sim_deg.simulate(&spmd, profile.as_ref());
+    let meas_deg = sim_deg.simulate(&spmd, profile.as_deref());
     let work_s_deg = (meas_deg.mean - meas_deg.io).max(0.0);
     let ratio_s = if work_s > 0.0 {
         work_s_deg / work_s

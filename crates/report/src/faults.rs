@@ -15,6 +15,7 @@
 //! every degraded row.
 
 use crate::pipeline::{calibrated_machine, compile_source, PipelineError, PredictOptions};
+use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::Kernel;
@@ -96,9 +97,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
             ..Default::default()
         },
     )?;
-    let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-        .ok()
-        .map(|o| o.profile);
+    let (profile, _) = shared_profile(&src, cfg.size, cfg.profile_steps, &analyzed);
     let aag = appgraph::build_aag(&spmd);
 
     let healthy_calibrated = calibrated_machine(cfg.procs);
@@ -121,7 +120,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
                 ..Default::default()
             },
         );
-        let meas = sim.simulate(&spmd, profile.as_ref());
+        let meas = sim.simulate(&spmd, profile.as_deref());
 
         let err = if meas.mean > 0.0 {
             100.0 * (predicted - meas.mean).abs() / meas.mean

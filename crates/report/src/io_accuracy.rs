@@ -13,12 +13,13 @@
 use crate::pipeline::{
     calibrated_machine_for, compile_source, machine_params, PipelineError, PipelineStage,
 };
+use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
 use interp::{InterpOptions, InterpretationEngine};
 use ipsc_sim::{SimConfig, Simulator};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One (machine, kernel, size) point of the I/O accuracy table.
 #[derive(Debug, Clone, Serialize)]
@@ -73,7 +74,7 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
         app: String,
         size: usize,
         spmd: hpf_compiler::SpmdProgram,
-        profile: Option<hpf_eval::ExecutionProfile>,
+        profile: Option<Arc<hpf_eval::ExecutionProfile>>,
     }
     let mut artifacts = Vec::new();
     for k in kernels::ooc_kernels() {
@@ -89,9 +90,7 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
                     ..Default::default()
                 },
             )?;
-            let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-                .ok()
-                .map(|o| o.profile);
+            let (profile, _) = shared_profile(&src, size, cfg.profile_steps, &analyzed);
             artifacts.push(Artifact {
                 app: k.name.to_string(),
                 size,
@@ -128,7 +127,7 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
                     art.size,
                     cfg,
                     &art.spmd,
-                    art.profile.as_ref(),
+                    art.profile.as_deref(),
                 );
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(row);
             });

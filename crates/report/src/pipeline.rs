@@ -4,7 +4,8 @@
 //! compares.
 
 use hpf_compiler::{compile, CompileOptions, SpmdProgram};
-use hpf_lang::{analyze, parse_program, LangError};
+use hpf_eval::ExecutionProfile;
+use hpf_lang::{analyze, parse_program, AnalyzedProgram, LangError};
 use hpf_machines::TopologyError;
 use interp::{InterpOptions, InterpretationEngine, Prediction};
 use ipsc_sim::{SimConfig, SimResult, Simulator};
@@ -382,13 +383,22 @@ pub fn predict_source_full(
     Ok((engine.interpret(&aag), aag, spmd))
 }
 
+/// The simulator's execution profile of `analyzed`: one functional
+/// evaluator run inside a `profile` span, its steps counted as
+/// `eval.steps`. `None` when the run exceeds `step_limit`.
+pub fn run_profile(analyzed: &AnalyzedProgram, step_limit: u64) -> Option<ExecutionProfile> {
+    let _s = hpf_trace::span("profile");
+    let profile = hpf_eval::run_with_limit(analyzed, step_limit).ok()?.profile;
+    hpf_trace::counter_add("eval.steps", profile.total_steps);
+    Some(profile)
+}
+
 /// "Measured" execution: run the program on the simulated iPSC/860.
 pub fn simulate_source(src: &str, opts: &SimulateOptions) -> Result<SimResult, PipelineError> {
     let _span = hpf_trace::span("measure");
     let (analyzed, spmd) = compile_source(src, opts.nodes, &opts.param_overrides, &opts.compile)?;
     let profile = if opts.use_profile {
-        let _s = hpf_trace::span("profile");
-        hpf_eval::run(&analyzed).ok().map(|o| o.profile)
+        run_profile(&analyzed, hpf_eval::DEFAULT_STEP_LIMIT)
     } else {
         None
     };

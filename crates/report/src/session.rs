@@ -9,7 +9,8 @@
 
 use crate::autotune::search_distributions;
 use crate::pipeline::{
-    calibrated_machine, compile_source, predict_source_on, PredictOptions, SimulateOptions,
+    calibrated_machine, compile_source, predict_source_on, run_profile, PredictOptions,
+    SimulateOptions,
 };
 use hpf_compiler::CompileOptions;
 use interp::{profile_report, query_line, query_lines, InterpOptions};
@@ -411,9 +412,7 @@ impl Session {
         let src = self.require_source()?;
         let (analyzed, spmd) = compile_source(src, self.nodes, &self.overrides, &self.copts)
             .map_err(|e| e.to_string())?;
-        let profile = hpf_eval::run_with_limit(&analyzed, 10_000_000)
-            .ok()
-            .map(|o| o.profile);
+        let profile = run_profile(&analyzed, 10_000_000);
         let machine = machine::ipsc860(self.nodes);
         let tr = ipsc_sim::trace_program(&machine, &spmd, profile.as_ref());
         let mut out = tr.gantt(64);

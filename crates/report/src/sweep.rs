@@ -29,7 +29,7 @@ use kernels::{CompiledKernel, Kernel};
 
 use crate::experiments::{sample_from_artifact_on, AccuracySample, SweepConfig};
 use crate::lru::LruMap;
-use crate::pipeline::PipelineError;
+use crate::pipeline::{run_profile, PipelineError};
 
 /// A computed-at-most-once profile entry: `None` means the functional
 /// interpreter exceeded its step budget for this point.
@@ -204,10 +204,7 @@ pub fn shared_profile(
     let profile = slot
         .get_or_init(|| {
             computed = true;
-            let _s = hpf_trace::span("profile");
-            hpf_eval::run_with_limit(analyzed, profile_steps)
-                .ok()
-                .map(|o| Arc::new(o.profile))
+            run_profile(analyzed, profile_steps).map(Arc::new)
         })
         .clone();
     (profile, !computed)
