@@ -13,7 +13,9 @@
 //! slot-indexed storage: `Copy` scalars and typed arrays.
 
 use crate::data::{self, Data, Operand};
-use crate::lower::{self, Ax, Ex, Forall, ForallItem, Program, Stmt, Sub, Sx, Where, WhereItem};
+use crate::lower::{
+    self, Ax, ElemRef, Ex, Forall, ForallItem, Program, Stmt, Sub, Subscr, Sx, Where, WhereItem,
+};
 use crate::profile::{ExecutionProfile, StmtStats};
 use crate::scalar::{self, Scalar};
 use hpf_lang::ast::{Intrinsic, TypeSpec};
@@ -259,29 +261,31 @@ fn eval_int(m: &Mem, c: &mut Counter, e: &Sx, span: Span) -> R<i64> {
         .ok_or_else(|| fault("expected integer value", span))
 }
 
-/// Column-major offset of element `subs` of `a`.
+/// Column-major offset of an element reference.
 #[inline]
-fn elem_offset(m: &Mem, c: &mut Counter, a: &Array, subs: &[Sx], span: Span) -> R<usize> {
-    if subs.len() != a.extents.len() {
-        return Err(fault(format!("index out of bounds for `{}`", a.name), span));
-    }
+fn elem_offset(m: &Mem, c: &mut Counter, e: &ElemRef, span: Span) -> R<usize> {
     let mut off = 0usize;
-    for (d, s) in subs.iter().enumerate() {
-        let i = eval_int(m, c, s, span)?;
-        let rel = i.wrapping_sub(a.lbounds[d]);
-        if rel < 0 || rel as usize >= a.extents[d] {
-            return Err(fault(
-                format!(
-                    "index {i} out of bounds in dimension {} of `{}`",
-                    d + 1,
-                    a.name
-                ),
-                span,
-            ));
+    for (d, dim) in e.dims.iter().enumerate() {
+        let i = match &dim.sub {
+            Subscr::Affine(r, k) => m.idx[*r].wrapping_add(*k),
+            Subscr::Const(k) => *k,
+            Subscr::Expr(x) => eval_int(m, c, x, span)?,
+        };
+        let rel = i.wrapping_sub(dim.lb);
+        if rel < 0 || rel as usize >= dim.extent {
+            return Err(out_of_bounds(&m.arrays[e.arr].name, i, d, span));
         }
-        off += rel as usize * a.strides[d];
+        off += rel as usize * dim.stride;
     }
     Ok(off)
+}
+
+#[cold]
+fn out_of_bounds(name: &str, i: i64, d: usize, span: Span) -> Box<EvalError> {
+    fault(
+        format!("index {i} out of bounds in dimension {} of `{name}`", d + 1),
+        span,
+    )
 }
 
 fn eval_s(m: &Mem, c: &mut Counter, e: &Sx) -> R<Scalar> {
@@ -290,35 +294,44 @@ fn eval_s(m: &Mem, c: &mut Counter, e: &Sx) -> R<Scalar> {
         Sx::Index(r) => Ok(Scalar::Int(m.idx[*r])),
         Sx::Var(s) => Ok(m.scalars[*s]),
         Sx::Elem(el, span) => {
-            let a = &m.arrays[el.0];
-            let off = elem_offset(m, c, a, &el.1, *span)?;
-            Ok(a.data.get(off))
+            let off = elem_offset(m, c, el, *span)?;
+            Ok(m.arrays[el.arr].data.get(off))
         }
         Sx::Binary(op, lr, span) => {
             let l = eval_s(m, c, &lr.0)?;
             let r = eval_s(m, c, &lr.1)?;
+            if let (Scalar::Real(a), Scalar::Real(b)) = (l, r) {
+                if scalar::is_arith(*op) {
+                    return Ok(Scalar::Real(scalar::arith_f(*op, a, b)));
+                }
+            }
             scalar::binary(*op, l, r).ok_or_else(|| fault("bad operands", *span))
         }
         Sx::Unary(op, x, span) => scalar::unary(*op, eval_s(m, c, x)?)
             .ok_or_else(|| fault("bad operand for unary operator", *span)),
-        Sx::Call(intr, args, span) => {
-            let mut buf = [Scalar::Int(0); 8];
-            let mut vec;
-            let vals: &mut [Scalar] = if args.len() <= buf.len() {
-                &mut buf[..args.len()]
-            } else {
-                vec = vec![Scalar::Int(0); args.len()];
-                &mut vec
-            };
-            for (v, a) in vals.iter_mut().zip(args.iter()) {
-                *v = eval_s(m, c, a)?;
-            }
-            scalar::intrinsic(*intr, vals)
-                .ok_or_else(|| fault(format!("bad arguments to {}", intr.name()), *span))
-        }
+        Sx::Call(intr, args, span) => call(m, c, *intr, args, *span),
         Sx::Reduce(intr, args, span) => reduce(m, c, *intr, args, *span),
         Sx::Fail(msg, span) => Err(fault(&**msg, *span)),
     }
+}
+
+/// An elemental intrinsic on scalar arguments (kept out of line so that
+/// `eval_s` stays small).
+#[inline(never)]
+fn call(m: &Mem, c: &mut Counter, intr: Intrinsic, args: &[Sx], span: Span) -> R<Scalar> {
+    let mut buf = [Scalar::Int(0); 8];
+    let mut vec;
+    let vals: &mut [Scalar] = if args.len() <= buf.len() {
+        &mut buf[..args.len()]
+    } else {
+        vec = vec![Scalar::Int(0); args.len()];
+        &mut vec
+    };
+    for (v, a) in vals.iter_mut().zip(args) {
+        *v = eval_s(m, c, a)?;
+    }
+    scalar::intrinsic(intr, vals)
+        .ok_or_else(|| fault(format!("bad arguments to {}", intr.name()), span))
 }
 
 fn eval_ex<'m>(m: &'m Mem, c: &mut Counter, e: &Ex) -> R<Val<'m>> {
@@ -572,6 +585,7 @@ fn transform<'m>(
 }
 
 /// SUM / PRODUCT / MAXVAL / MINVAL / MAXLOC / MINLOC / DOT_PRODUCT / SIZE.
+#[inline(never)]
 fn reduce(m: &Mem, c: &mut Counter, intr: Intrinsic, args: &[Ex], span: Span) -> R<Scalar> {
     use Intrinsic::*;
     let vals = eval_args(m, c, args)?;
@@ -691,8 +705,7 @@ impl Evaluator<'_> {
                 m.scalars[*slot] = coerce.apply(v);
             }
             Stmt::Element {
-                arr,
-                subs,
+                elem,
                 rhs,
                 steps,
                 row,
@@ -702,8 +715,8 @@ impl Evaluator<'_> {
                 let (m, c) = (&mut self.mem, &mut self.ctr);
                 c.tick(*steps, *span)?;
                 let v = eval_s(m, c, rhs)?;
-                let off = elem_offset(m, c, &m.arrays[*arr], subs, *span)?;
-                m.arrays[*arr].data.set(off, v);
+                let off = elem_offset(m, c, elem, *span)?;
+                m.arrays[elem.arr].data.set(off, v);
             }
             Stmt::Array {
                 arr,
@@ -973,7 +986,6 @@ impl Evaluator<'_> {
             match item {
                 ForallItem::Assign {
                     target,
-                    subs,
                     rhs,
                     steps,
                     span,
@@ -981,7 +993,7 @@ impl Evaluator<'_> {
                     if active.count == 0 {
                         continue;
                     }
-                    let arr = *target.as_ref().map_err(|msg| fault(&**msg, *span))?;
+                    let elem = target.as_ref().map_err(|msg| fault(&**msg, *span))?;
                     let (m, c) = (&mut self.mem, &mut self.ctr);
                     c.tick((active.count as u64).saturating_mul(*steps), *span)?;
                     let mut scratch = std::mem::take(&mut self.scratch);
@@ -989,10 +1001,10 @@ impl Evaluator<'_> {
                     for t in 0..active.count {
                         m.idx[..stride].copy_from_slice(active.get(t));
                         let v = eval_s(m, c, rhs)?;
-                        let off = elem_offset(m, c, &m.arrays[arr], subs, *span)?;
+                        let off = elem_offset(m, c, elem, *span)?;
                         scratch.push((off, v));
                     }
-                    let data = &mut m.arrays[arr].data;
+                    let data = &mut m.arrays[elem.arr].data;
                     match data {
                         Data::Real(d) => {
                             for &(off, v) in &scratch {

@@ -63,8 +63,8 @@ pub(crate) enum Sx {
     Index(usize),
     /// Scalar variable slot.
     Var(usize),
-    /// Array element `arr(subs)`.
-    Elem(Box<(usize, Box<[Sx]>)>, Span),
+    /// Array element.
+    Elem(Box<ElemRef>, Span),
     Unary(UnOp, Box<Sx>, Span),
     Binary(BinOp, Box<(Sx, Sx)>, Span),
     /// Elemental intrinsic applied to scalars.
@@ -72,6 +72,62 @@ pub(crate) enum Sx {
     /// Scalar-valued transformational intrinsic (SUM, MAXLOC, SIZE, …).
     Reduce(Intrinsic, Box<[Ex]>, Span),
     Fail(Box<str>, Span),
+}
+
+/// An array element reference, with the array's (static) bounds copied
+/// into each subscript so that no lookup is needed to address it.
+pub(crate) struct ElemRef {
+    pub arr: usize,
+    pub dims: Box<[Dim]>,
+}
+
+/// One subscript of an [`ElemRef`] and the bounds of its dimension.
+pub(crate) struct Dim {
+    pub sub: Subscr,
+    pub lb: i64,
+    pub extent: usize,
+    pub stride: usize,
+}
+
+/// An element subscript. FORALL-index forms (`I`, `I + c`, `I - c`,
+/// `c + I`) and INTEGER constants are recognised so that addressing them
+/// evaluates no expression; the arithmetic (wrapping) is unchanged.
+pub(crate) enum Subscr {
+    /// Index register plus a constant.
+    Affine(usize, i64),
+    Const(i64),
+    Expr(Sx),
+}
+
+impl Subscr {
+    fn new(sx: Sx) -> Subscr {
+        let int = |s: &Sx| match s {
+            Sx::Const(Scalar::Int(c)) => Some(*c),
+            _ => None,
+        };
+        match sx {
+            Sx::Index(r) => Subscr::Affine(r, 0),
+            Sx::Const(Scalar::Int(c)) => Subscr::Const(c),
+            Sx::Binary(op @ (BinOp::Add | BinOp::Sub), lr, span) => match (&lr.0, &lr.1) {
+                (Sx::Index(r), k) if int(k).is_some() => {
+                    let k = int(k).unwrap_or_default();
+                    Subscr::Affine(
+                        *r,
+                        if op == BinOp::Add {
+                            k
+                        } else {
+                            k.wrapping_neg()
+                        },
+                    )
+                }
+                (k, Sx::Index(r)) if op == BinOp::Add && int(k).is_some() => {
+                    Subscr::Affine(*r, int(k).unwrap_or_default())
+                }
+                _ => Subscr::Expr(Sx::Binary(op, lr, span)),
+            },
+            other => Subscr::Expr(other),
+        }
+    }
 }
 
 /// An array-valued expression.
@@ -113,8 +169,7 @@ pub(crate) enum Stmt {
     },
     /// `arr(i, j, …) = rhs`.
     Element {
-        arr: usize,
-        subs: Box<[Sx]>,
+        elem: ElemRef,
         rhs: Sx,
         steps: u64,
         row: usize,
@@ -188,11 +243,10 @@ pub(crate) struct Forall {
 }
 
 pub(crate) enum ForallItem {
-    /// `arr(subs) = rhs` per active index tuple. `target` holds the error
+    /// `target = rhs` per active index tuple. `target` holds the error
     /// raised if there is at least one tuple and the target is invalid.
     Assign {
-        target: Result<usize, Box<str>>,
-        subs: Box<[Sx]>,
+        target: Result<ElemRef, Box<str>>,
         rhs: Sx,
         steps: u64,
         span: Span,
@@ -252,6 +306,7 @@ pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Program {
         scalar_slots: BTreeMap::new(),
         coerces: Vec::new(),
         array_slots: BTreeMap::new(),
+        arrays: Vec::new(),
         scope: Vec::new(),
         row_of: BTreeMap::new(),
         rows: Vec::new(),
@@ -259,7 +314,6 @@ pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Program {
         index_regs: 0,
     };
     let mut scalars = Vec::new();
-    let mut arrays = Vec::new();
     for (name, sym) in &analyzed.symbols {
         match &sym.kind {
             SymbolKind::Scalar => {
@@ -273,8 +327,8 @@ pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Program {
                 scalars.push((name.clone(), coerce, init));
             }
             SymbolKind::Array { shape } => {
-                l.array_slots.insert(name.as_str(), arrays.len());
-                arrays.push((name.clone(), sym.ty, shape.clone()));
+                l.array_slots.insert(name.as_str(), l.arrays.len());
+                l.arrays.push((name.clone(), sym.ty, shape.clone()));
             }
             _ => {}
         }
@@ -283,7 +337,7 @@ pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Program {
     Program {
         stmts,
         scalars,
-        arrays,
+        arrays: l.arrays,
         rows: l.rows,
         strings: l.strings,
         index_regs: l.index_regs,
@@ -295,6 +349,7 @@ struct Lower<'a> {
     scalar_slots: BTreeMap<&'a str, usize>,
     coerces: Vec<Coerce>,
     array_slots: BTreeMap<&'a str, usize>,
+    arrays: Vec<(String, TypeSpec, Shape)>,
     /// FORALL index names in scope; an index's register is its position.
     scope: Vec<&'a str>,
     row_of: BTreeMap<(u32, u32), usize>,
@@ -336,11 +391,13 @@ impl<'a> Lower<'a> {
                 let rhs_steps = nodes(rhs);
                 if let Some(&arr) = self.array_slots.get(lhs.name.as_str()) {
                     if !lhs.subs.is_empty() && lhs.subs.iter().all(Subscript::is_index) {
-                        let subs = self.index_subs(&lhs.subs, lhs.span);
+                        let elem = match self.elem(arr, &lhs.subs) {
+                            Ok(elem) => elem,
+                            Err(msg) => return fail(msg),
+                        };
                         let rhs = self.scalar(rhs, "cannot assign array to array element");
                         return Stmt::Element {
-                            arr,
-                            subs,
+                            elem,
                             rhs,
                             steps: rhs_steps + sub_nodes(&lhs.subs) + 1,
                             row,
@@ -493,21 +550,15 @@ impl<'a> Lower<'a> {
             .map(|st| match st {
                 AstStmt::Assign { lhs, rhs, span } => {
                     let target = if lhs.subs.iter().any(|s| !s.is_index()) {
-                        Err("expected element subscript, found section".into())
+                        Err("expected element subscript, found section".to_string())
                     } else {
-                        self.array_slots
-                            .get(lhs.name.as_str())
-                            .copied()
-                            .ok_or_else(|| format!("`{}` is not an array", lhs.name).into())
-                    };
-                    let subs = if target.is_ok() {
-                        self.index_subs(&lhs.subs, lhs.span)
-                    } else {
-                        Box::default()
+                        match self.array_slots.get(lhs.name.as_str()) {
+                            Some(&arr) => self.elem(arr, &lhs.subs),
+                            None => Err(format!("`{}` is not an array", lhs.name)),
+                        }
                     };
                     ForallItem::Assign {
-                        target,
-                        subs,
+                        target: target.map_err(String::into_boxed_str),
                         rhs: self.scalar(
                             rhs,
                             "array-valued RHS inside FORALL body is outside the subset",
@@ -575,15 +626,36 @@ impl<'a> Lower<'a> {
         }
     }
 
-    fn index_subs(&mut self, subs: &'a [Subscript], span: Span) -> Box<[Sx]> {
-        subs.iter()
-            .map(|s| match s {
-                Subscript::Index(e) => self.scalar(e, "expected scalar integer, found array"),
-                Subscript::Triplet { .. } => {
-                    fail("expected element subscript, found section", span)
-                }
-            })
-            .collect()
+    /// Element reference `arr(subs)`, all subscripts being indices; a rank
+    /// mismatch is the out-of-bounds error it raises when reached.
+    fn elem(&mut self, arr: usize, subs: &'a [Subscript]) -> Result<ElemRef, String> {
+        let (name, _, shape) = &self.arrays[arr];
+        if subs.len() != shape.len() {
+            return Err(format!("index out of bounds for `{name}`"));
+        }
+        let bounds: Vec<(i64, usize)> = shape
+            .iter()
+            .map(|&(lb, ub)| (lb, (ub - lb + 1).max(0) as usize))
+            .collect();
+        let mut stride = 1;
+        let mut dims = Vec::with_capacity(subs.len());
+        for (s, (lb, extent)) in subs.iter().zip(bounds) {
+            let Subscript::Index(e) = s else {
+                unreachable!("callers pass index subscripts only")
+            };
+            let sx = self.scalar(e, "expected scalar integer, found array");
+            dims.push(Dim {
+                sub: Subscr::new(sx),
+                lb,
+                extent,
+                stride,
+            });
+            stride *= extent;
+        }
+        Ok(ElemRef {
+            arr,
+            dims: dims.into(),
+        })
     }
 
     fn subs(&mut self, subs: &'a [Subscript]) -> Box<[Sub]> {
@@ -666,8 +738,10 @@ impl<'a> Lower<'a> {
             }
         } else if let Some(&arr) = self.array_slots.get(name) {
             if r.subs.iter().all(Subscript::is_index) {
-                let subs = self.index_subs(&r.subs, r.span);
-                return Ex::S(Sx::Elem(Box::new((arr, subs)), r.span));
+                return Ex::S(match self.elem(arr, &r.subs) {
+                    Ok(elem) => Sx::Elem(Box::new(elem), r.span),
+                    Err(msg) => fail(msg, r.span),
+                });
             }
             let subs = self.subs(&r.subs);
             return Ex::A(Ax::Section(Box::new((arr, subs)), r.span));
