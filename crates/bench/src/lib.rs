@@ -449,14 +449,30 @@ pub fn report_text(r: &BenchReport) -> String {
         let interesting: Vec<String> = c
             .counters
             .iter()
-            .filter(|(k, v)| **v > 0 && (k.starts_with("sim.fault") || k.starts_with("harness")))
+            .filter(|(k, v)| {
+                **v > 0
+                    && (k.starts_with("sim.fault")
+                        || k.starts_with("harness")
+                        || *k == "eval.steps")
+            })
             .map(|(k, v)| format!("{k}={v}"))
             .collect();
         if !interesting.is_empty() {
             out.push_str(&format!("  counters: {}\n", interesting.join(" ")));
         }
+        if let Some(ns) = ns_per_eval_step(c) {
+            out.push_str(&format!("  evaluator: {ns:.2} ns/step\n"));
+        }
     }
     out
+}
+
+/// Median `profile` stage time per `eval.steps`, in nanoseconds, for a
+/// case whose every evaluator run is timed by the `profile` stage.
+pub fn ns_per_eval_step(c: &CaseResult) -> Option<f64> {
+    let steps = *c.counters.get("eval.steps").filter(|&&s| s > 0)?;
+    let profile = c.stages.iter().find(|s| s.stage == "profile")?;
+    Some(profile.median_s * 1e9 / steps as f64)
 }
 
 #[cfg(test)]

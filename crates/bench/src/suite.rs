@@ -4,14 +4,16 @@
 //! makes the CI compare job fail with a `Missing` finding, deliberately.
 
 use hpf_advisor::{Advisor, AdvisorConfig};
+use hpf_compiler::CompileOptions;
 use hpf_serve::api::Api;
 use hpf_serve::cache::CacheConfig;
 use hpf_serve::http::Request;
 use report::checkpoint::{checkpoint_experiment, CheckpointExperimentConfig};
 use report::experiments::{table2, SweepConfig};
 use report::faults::{default_plans, fault_experiment, FaultExperimentConfig};
+use report::pipeline::run_profile;
 use report::sweep::SweepSession;
-use report::{predict_source, simulate_source, PredictOptions, SimulateOptions};
+use report::{compile_source, predict_source, simulate_source, PredictOptions, SimulateOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,6 +58,31 @@ fn laplace_case(size: usize, procs: usize, sim_runs: usize) -> BenchCase {
             sopts.sim.runs = sim_runs;
             let meas = simulate_source(&src, &sopts).expect("simulates");
             assert!(meas.measured() > 0.0);
+        }),
+    }
+}
+
+/// The functional evaluator alone on one Laplace (Blk-X) configuration:
+/// the program is compiled once at suite construction, so the measured
+/// loop is one `run_profile` (the `profile` stage). Its `eval.steps`
+/// counter turns the stage median into ns per evaluated step.
+fn eval_case(size: usize, procs: usize) -> BenchCase {
+    let kernel = kernels::kernel_by_name("Laplace (Blk-X)").expect("kernel");
+    let (analyzed, _) = compile_source(
+        &kernel.source(size, procs),
+        procs,
+        &Default::default(),
+        &CompileOptions {
+            nodes: procs,
+            ..Default::default()
+        },
+    )
+    .expect("compiles");
+    BenchCase {
+        name: format!("eval_laplace_n{size}_p{procs}"),
+        run: Box::new(move || {
+            let profile = run_profile(&analyzed, 2_000_000).expect("evaluates");
+            assert!(profile.total_steps > 0);
         }),
     }
 }
@@ -318,6 +345,7 @@ pub fn bench_suite(kind: SuiteKind) -> Vec<BenchCase> {
     match kind {
         SuiteKind::Quick => vec![
             laplace_case(64, 4, 30),
+            eval_case(64, 4),
             table2_case(128, 20),
             sweep_point_case("PI", 512, 4),
             sweep_point_ooc_case(64, 4),
@@ -331,6 +359,7 @@ pub fn bench_suite(kind: SuiteKind) -> Vec<BenchCase> {
         ],
         SuiteKind::Full => vec![
             laplace_case(64, 4, 30),
+            eval_case(64, 4),
             laplace_case(128, 4, 30),
             laplace_case(128, 8, 30),
             laplace_case(256, 8, 30),
