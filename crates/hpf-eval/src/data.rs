@@ -5,8 +5,8 @@
 //! stores into them are not coerced, so they may hold any scalar kind.
 //! Elements are in column-major order.
 
-use crate::scalar::{self, Scalar};
 use hpf_lang::ast::{BinOp, Intrinsic, TypeSpec, UnOp};
+use hpf_lang::value_ops::{self as ops, Scalar};
 
 /// Element storage of one array (or array temporary).
 #[derive(Debug, Clone)]
@@ -142,29 +142,29 @@ impl Operand<'_> {
 
 /// Elementwise `l op r` over `n` elements; `None` on an operand type error.
 pub(crate) fn binary(op: BinOp, l: &Operand, r: &Operand, n: usize) -> Option<Data> {
-    if scalar::is_arith(op) {
-        // Typed fast paths: the same arithmetic as `scalar::binary`,
+    if ops::is_arith(op) {
+        // Typed fast paths: the same arithmetic as `ops::binary`,
         // without boxing each element.
         match (l, r) {
             (Operand::Array(Data::Int(a)), Operand::Array(Data::Int(b))) => {
                 return a
                     .iter()
                     .zip(b.iter())
-                    .map(|(&x, &y)| scalar::arith_i(op, x, y))
+                    .map(|(&x, &y)| ops::arith_i(op, x, y))
                     .collect::<Option<_>>()
                     .map(Data::Int)
             }
             (Operand::Array(Data::Int(a)), Operand::Scalar(Scalar::Int(y))) => {
                 return a
                     .iter()
-                    .map(|&x| scalar::arith_i(op, x, *y))
+                    .map(|&x| ops::arith_i(op, x, *y))
                     .collect::<Option<_>>()
                     .map(Data::Int)
             }
             (Operand::Scalar(Scalar::Int(x)), Operand::Array(Data::Int(b))) => {
                 return b
                     .iter()
-                    .map(|&y| scalar::arith_i(op, *x, y))
+                    .map(|&y| ops::arith_i(op, *x, y))
                     .collect::<Option<_>>()
                     .map(Data::Int)
             }
@@ -178,18 +178,16 @@ pub(crate) fn binary(op: BinOp, l: &Operand, r: &Operand, n: usize) -> Option<Da
         }
         if let (Some(a), Some(b)) = (real(l), real(r)) {
             let out = match (a, b) {
-                (Err(x), Err(y)) => (0..n)
-                    .map(|i| scalar::arith_f(op, x.f(i), y.f(i)))
-                    .collect(),
-                (Err(x), Ok(y)) => (0..n).map(|i| scalar::arith_f(op, x.f(i), y)).collect(),
-                (Ok(x), Err(y)) => (0..n).map(|i| scalar::arith_f(op, x, y.f(i))).collect(),
-                (Ok(x), Ok(y)) => vec![scalar::arith_f(op, x, y); n],
+                (Err(x), Err(y)) => (0..n).map(|i| ops::arith_f(op, x.f(i), y.f(i))).collect(),
+                (Err(x), Ok(y)) => (0..n).map(|i| ops::arith_f(op, x.f(i), y)).collect(),
+                (Ok(x), Err(y)) => (0..n).map(|i| ops::arith_f(op, x, y.f(i))).collect(),
+                (Ok(x), Ok(y)) => vec![ops::arith_f(op, x, y); n],
             };
             return Some(Data::Real(out));
         }
     }
     (0..n)
-        .map(|i| scalar::binary(op, l.get(i), r.get(i)))
+        .map(|i| ops::binary(op, l.get(i), r.get(i)))
         .collect::<Option<_>>()
         .map(Data::Mixed)
 }
@@ -201,7 +199,7 @@ pub(crate) fn unary(op: UnOp, a: &Data) -> Option<Data> {
         (UnOp::Neg, Data::Real(v)) => Some(Data::Real(v.iter().map(|x| -x).collect())),
         (UnOp::Neg, Data::Int(v)) => Some(Data::Int(v.iter().map(|x| x.wrapping_neg()).collect())),
         _ => (0..a.len())
-            .map(|i| scalar::unary(op, a.get(i)))
+            .map(|i| ops::unary(op, a.get(i)))
             .collect::<Option<_>>()
             .map(Data::Mixed),
     }
@@ -246,10 +244,10 @@ pub(crate) fn reduce(intr: Intrinsic, a: &Data) -> Option<Scalar> {
             let mut acc = v[0];
             for &x in &v[1..] {
                 acc = match intr {
-                    Sum => scalar::binary(BinOp::Add, acc, x),
-                    Product => scalar::binary(BinOp::Mul, acc, x),
-                    MaxVal => scalar::intrinsic(Max, &[acc, x]),
-                    _ => scalar::intrinsic(Min, &[acc, x]),
+                    Sum => ops::binary(BinOp::Add, acc, x),
+                    Product => ops::binary(BinOp::Mul, acc, x),
+                    MaxVal => ops::intrinsic(Max, &[acc, x]),
+                    _ => ops::intrinsic(Min, &[acc, x]),
                 }?;
             }
             Some(acc)

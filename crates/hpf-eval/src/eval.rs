@@ -17,10 +17,10 @@ use crate::lower::{
     self, Ax, ElemRef, Ex, Forall, ForallItem, Program, Stmt, Sub, Subscr, Sx, Where, WhereItem,
 };
 use crate::profile::{ExecutionProfile, StmtStats};
-use crate::scalar::{self, Scalar};
 use hpf_lang::ast::{Intrinsic, TypeSpec};
 use hpf_lang::sema::AnalyzedProgram;
 use hpf_lang::value::Value;
+use hpf_lang::value_ops::{self as ops, Scalar};
 use hpf_lang::Span;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -116,7 +116,7 @@ pub fn run_with_limit(
         .scalars
         .iter()
         .zip(&ev.mem.scalars)
-        .map(|((name, _, _), v)| (name.clone(), v.to_value(&prog.strings)))
+        .map(|((name, _, _), &v)| (name.clone(), value(v, &prog.strings)))
         .collect();
     Ok(RunOutcome {
         output: ev.output,
@@ -301,13 +301,13 @@ fn eval_s(m: &Mem, c: &mut Counter, e: &Sx) -> R<Scalar> {
             let l = eval_s(m, c, &lr.0)?;
             let r = eval_s(m, c, &lr.1)?;
             if let (Scalar::Real(a), Scalar::Real(b)) = (l, r) {
-                if scalar::is_arith(*op) {
-                    return Ok(Scalar::Real(scalar::arith_f(*op, a, b)));
+                if ops::is_arith(*op) {
+                    return Ok(Scalar::Real(ops::arith_f(*op, a, b)));
                 }
             }
-            scalar::binary(*op, l, r).ok_or_else(|| fault("bad operands", *span))
+            ops::binary(*op, l, r).ok_or_else(|| fault("bad operands", *span))
         }
-        Sx::Unary(op, x, span) => scalar::unary(*op, eval_s(m, c, x)?)
+        Sx::Unary(op, x, span) => ops::unary(*op, eval_s(m, c, x)?)
             .ok_or_else(|| fault("bad operand for unary operator", *span)),
         Sx::Call(intr, args, span) => call(m, c, *intr, args, *span),
         Sx::Reduce(intr, args, span) => reduce(m, c, *intr, args, *span),
@@ -330,7 +330,7 @@ fn call(m: &Mem, c: &mut Counter, intr: Intrinsic, args: &[Sx], span: Span) -> R
     for (v, a) in vals.iter_mut().zip(args) {
         *v = eval_s(m, c, a)?;
     }
-    scalar::intrinsic(intr, vals)
+    ops::intrinsic(intr, vals)
         .ok_or_else(|| fault(format!("bad arguments to {}", intr.name()), span))
 }
 
@@ -498,7 +498,7 @@ fn eval_a<'m>(m: &'m Mem, c: &mut Counter, e: &Ax) -> R<AVal<'m>> {
                     Val::A(a) => a.data.get(off),
                 }));
                 out.push(
-                    scalar::intrinsic(*intr, &buf)
+                    ops::intrinsic(*intr, &buf)
                         .ok_or_else(|| fault(format!("bad arguments to {}", intr.name()), *span))?,
                 );
             }
@@ -657,6 +657,16 @@ fn reduce(m: &Mem, c: &mut Counter, intr: Intrinsic, args: &[Ex], span: Span) ->
             ),
             span,
         )),
+    }
+}
+
+/// A scalar as a front-end value.
+fn value(v: Scalar, strings: &[String]) -> Value {
+    match v {
+        Scalar::Int(i) => Value::Int(i),
+        Scalar::Real(r) => Value::Real(r),
+        Scalar::Logical(b) => Value::Logical(b),
+        Scalar::Str(i) => Value::Str(strings[i as usize].clone()),
     }
 }
 

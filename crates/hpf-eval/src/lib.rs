@@ -14,7 +14,6 @@ mod data;
 pub mod eval;
 mod lower;
 pub mod profile;
-mod scalar;
 
 pub use eval::{run, run_with_limit, EvalError, RunOutcome, DEFAULT_STEP_LIMIT};
 pub use profile::{ExecutionProfile, StmtStats};

@@ -12,9 +12,10 @@
 //! step per AST node, and since every node of an expression is evaluated
 //! exactly once, it can charge the whole count up front.
 
-use crate::scalar::Scalar;
 use hpf_lang::ast::{self, BinOp, Expr, Intrinsic, Stmt as AstStmt, Subscript, TypeSpec, UnOp};
 use hpf_lang::sema::{AnalyzedProgram, SymbolKind};
+use hpf_lang::value::Value;
+use hpf_lang::value_ops::Scalar;
 use hpf_lang::Span;
 use std::collections::BTreeMap;
 
@@ -618,6 +619,19 @@ impl<'a> Lower<'a> {
             .collect()
     }
 
+    /// A constant, interning strings into the literal table.
+    fn constant(&mut self, v: &Value) -> Scalar {
+        match v {
+            Value::Int(i) => Scalar::Int(*i),
+            Value::Real(r) => Scalar::Real(*r),
+            Value::Logical(b) => Scalar::Logical(*b),
+            Value::Str(s) => {
+                self.strings.push(s.clone());
+                Scalar::Str(self.strings.len() as u32 - 1)
+            }
+        }
+    }
+
     /// Lower `e`, which must be scalar; an array becomes a `Fail(msg)`.
     fn scalar(&mut self, e: &'a Expr, msg: &str) -> Sx {
         match self.expr(e) {
@@ -677,10 +691,7 @@ impl<'a> Lower<'a> {
             Expr::IntLit(v, _) => Ex::S(Sx::Const(Scalar::Int(*v))),
             Expr::RealLit(v, _) => Ex::S(Sx::Const(Scalar::Real(*v))),
             Expr::LogicalLit(v, _) => Ex::S(Sx::Const(Scalar::Logical(*v))),
-            Expr::StrLit(s, _) => {
-                self.strings.push(s.clone());
-                Ex::S(Sx::Const(Scalar::Str(self.strings.len() as u32 - 1)))
-            }
+            Expr::StrLit(s, _) => Ex::S(Sx::Const(self.constant(&Value::Str(s.clone())))),
             Expr::Ref(r) => self.reference(r),
             Expr::Intrinsic { name, args, span } => {
                 let args: Box<[Ex]> = args.iter().map(|a| self.expr(a)).collect();
@@ -728,7 +739,7 @@ impl<'a> Lower<'a> {
             if let Some(SymbolKind::Parameter { value }) =
                 self.analyzed.symbols.get(name).map(|s| &s.kind)
             {
-                return Ex::S(Sx::Const(Scalar::from_value(value, &mut self.strings)));
+                return Ex::S(Sx::Const(self.constant(value)));
             }
             if let Some(&slot) = self.scalar_slots.get(name) {
                 return Ex::S(Sx::Var(slot));
