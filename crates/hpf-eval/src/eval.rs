@@ -14,7 +14,7 @@
 
 use crate::data::{self, Data, Operand};
 use crate::lower::{
-    self, Ax, ElemRef, Ex, Forall, ForallItem, Program, Stmt, Sub, Subscr, Sx, Where, WhereItem,
+    self, Ax, ElemRef, Ex, Forall, ForallItem, Kind, Program, Stmt, Sub, Subscr, Sx, WhereItem,
 };
 use crate::profile::{ExecutionProfile, StmtStats};
 use hpf_lang::ast::{Intrinsic, TypeSpec};
@@ -680,6 +680,50 @@ fn display(v: Scalar, strings: &[String]) -> String {
     }
 }
 
+/// Whole-array (`subs: None`) or section assignment. The right-hand
+/// side is fully evaluated before any element is stored.
+fn assign_array(
+    m: &mut Mem,
+    c: &mut Counter,
+    arr: usize,
+    subs: Option<&[Sub]>,
+    rhs: &Ex,
+    span: Span,
+) -> R<()> {
+    // Own the value before storing: it may read the target itself.
+    let v = match eval_ex(m, c, rhs)? {
+        Val::S(s) => Val::S(s),
+        Val::A(a) => Val::A(AVal::owned(a.extents.into_owned(), a.data.into_owned())),
+    };
+    let target = &m.arrays[arr];
+    let offsets = match subs {
+        None => None,
+        Some(subs) => Some(section(m, c, target, subs, span)?.0),
+    };
+    let n = offsets.as_ref().map_or(target.data.len(), Vec::len);
+    c.tick(n as u64, span)?;
+    let data = &mut m.arrays[arr].data;
+    match v {
+        Val::S(s) => match &offsets {
+            None => (0..n).for_each(|k| data.set(k, s)),
+            Some(o) => o.iter().for_each(|&k| data.set(k, s)),
+        },
+        Val::A(a) => {
+            if a.len() != n {
+                return Err(fault(
+                    format!(
+                        "shape mismatch in assignment: section has {n} elements, RHS has {}",
+                        a.len()
+                    ),
+                    span,
+                ));
+            }
+            data.scatter(offsets.as_deref(), &a.data);
+        }
+    }
+    Ok(())
+}
+
 // ---- statements ------------------------------------------------------------
 
 impl Evaluator<'_> {
@@ -690,57 +734,27 @@ impl Evaluator<'_> {
         Ok(())
     }
 
-    fn enter(&mut self, row: usize) {
-        self.seen[row] = true;
-        self.stats[row].executions += 1;
-    }
-
     fn stmt(&mut self, st: &Stmt) -> R<()> {
         if self.stopped {
             return Ok(());
         }
-        match st {
-            Stmt::Scalar {
-                slot,
-                coerce,
-                rhs,
-                steps,
-                row,
-                span,
-            } => {
-                self.enter(*row);
-                let (m, c) = (&mut self.mem, &mut self.ctr);
-                c.tick(*steps, *span)?;
+        let (row, span) = (st.row, st.span);
+        self.seen[row] = true;
+        self.stats[row].executions += 1;
+        let (m, c) = (&mut self.mem, &mut self.ctr);
+        c.tick(st.steps, span)?;
+        match &st.kind {
+            Kind::Scalar { slot, coerce, rhs } => {
                 let v = eval_s(m, c, rhs)?;
                 m.scalars[*slot] = coerce.apply(v);
             }
-            Stmt::Element {
-                elem,
-                rhs,
-                steps,
-                row,
-                span,
-            } => {
-                self.enter(*row);
-                let (m, c) = (&mut self.mem, &mut self.ctr);
-                c.tick(*steps, *span)?;
+            Kind::Element { elem, rhs } => {
                 let v = eval_s(m, c, rhs)?;
-                let off = elem_offset(m, c, elem, *span)?;
+                let off = elem_offset(m, c, elem, span)?;
                 m.arrays[elem.arr].data.set(off, v);
             }
-            Stmt::Array {
-                arr,
-                subs,
-                rhs,
-                steps,
-                row,
-                span,
-            } => {
-                self.enter(*row);
-                self.assign_array(*arr, subs.as_deref(), rhs, *steps, *span)?;
-            }
-            Stmt::Forall(f) => {
-                self.enter(f.row);
+            Kind::Array { arr, subs, rhs } => assign_array(m, c, *arr, subs.as_deref(), rhs, span)?,
+            Kind::Forall(f) => {
                 let top = Tuples {
                     stride: 0,
                     count: 1,
@@ -748,74 +762,52 @@ impl Evaluator<'_> {
                 };
                 self.forall(f, &top)?;
             }
-            Stmt::Where(w) => {
-                self.enter(w.row);
-                self.where_(w)?;
-            }
-            Stmt::Do {
-                var,
-                bounds,
-                steps,
+            Kind::Where {
+                mask,
                 body,
-                row,
-                span,
-            } => {
-                self.enter(*row);
-                let (m, c) = (&mut self.mem, &mut self.ctr);
-                c.tick(*steps, *span)?;
-                let lo = eval_int(m, c, &bounds.0, *span)?;
-                let hi = eval_int(m, c, &bounds.1, *span)?;
+                elsewhere,
+            } => self.where_(row, span, mask, body, elsewhere)?,
+            Kind::Do { var, bounds, body } => {
+                let lo = eval_int(m, c, &bounds.0, span)?;
+                let hi = eval_int(m, c, &bounds.1, span)?;
                 let step = match &bounds.2 {
-                    Some(s) => eval_int(m, c, s, *span)?,
+                    Some(s) => eval_int(m, c, s, span)?,
                     None => 1,
                 };
                 if step == 0 {
-                    return Err(fault("DO step of zero", *span));
+                    return Err(fault("DO step of zero", span));
                 }
                 let mut i = lo;
                 while !self.stopped && if step > 0 { i <= hi } else { i >= hi } {
-                    self.ctr.tick(1, *span)?;
-                    self.stats[*row].iterations += 1;
+                    self.ctr.tick(1, span)?;
+                    self.stats[row].iterations += 1;
                     // The DO variable holds an INTEGER whatever its type.
                     self.mem.scalars[*var] = Scalar::Int(i);
                     self.block(body)?;
                     i = i.wrapping_add(step);
                 }
             }
-            Stmt::DoWhile {
-                cond,
-                steps,
-                body,
-                row,
-                span,
-            } => {
-                self.enter(*row);
+            Kind::DoWhile { cond, steps, body } => {
                 while !self.stopped {
-                    self.ctr.tick(*steps, *span)?;
+                    self.ctr.tick(*steps, span)?;
                     match eval_s(&self.mem, &mut self.ctr, cond)? {
                         Scalar::Logical(true) => {}
                         Scalar::Logical(false) => break,
-                        _ => return Err(fault("DO WHILE condition must be scalar LOGICAL", *span)),
+                        _ => return Err(fault("DO WHILE condition must be scalar LOGICAL", span)),
                     }
-                    self.ctr.tick(1, *span)?;
-                    self.stats[*row].iterations += 1;
+                    self.ctr.tick(1, span)?;
+                    self.stats[row].iterations += 1;
                     self.block(body)?;
                 }
             }
-            Stmt::If {
-                arms,
-                else_body,
-                row,
-                span,
-            } => {
-                self.enter(*row);
+            Kind::If { arms, else_body } => {
                 for (cond, steps, body) in arms {
-                    self.ctr.tick(*steps, *span)?;
+                    self.ctr.tick(*steps, span)?;
                     let taken = match eval_s(&self.mem, &mut self.ctr, cond)? {
                         Scalar::Logical(b) => b,
-                        _ => return Err(fault("IF condition must be scalar LOGICAL", *span)),
+                        _ => return Err(fault("IF condition must be scalar LOGICAL", span)),
                     };
-                    let st = &mut self.stats[*row];
+                    let st = &mut self.stats[row];
                     st.mask_total += 1;
                     if taken {
                         st.mask_true += 1;
@@ -824,92 +816,24 @@ impl Evaluator<'_> {
                 }
                 self.block(else_body)?;
             }
-            Stmt::Print {
-                items,
-                steps,
-                row,
-                span,
-            } => {
-                self.enter(*row);
-                let (m, c) = (&self.mem, &mut self.ctr);
-                c.tick(*steps, *span)?;
-                let mut line = String::new();
-                for (i, e) in items.iter().enumerate() {
-                    if i > 0 {
-                        line.push(' ');
-                    }
-                    match eval_ex(m, c, e)? {
-                        Val::S(v) => line.push_str(&display(v, &self.prog.strings)),
-                        Val::A(a) => {
-                            for j in 0..a.len() {
-                                if j > 0 {
-                                    line.push(' ');
-                                }
-                                line.push_str(&display(a.data.get(j), &self.prog.strings));
-                            }
-                        }
-                    }
+            Kind::Print(items) => {
+                // Items are separated by one blank, as are array elements.
+                let strings = &self.prog.strings;
+                let mut words = Vec::with_capacity(items.len());
+                for e in items {
+                    words.push(match eval_ex(m, c, e)? {
+                        Val::S(v) => display(v, strings),
+                        Val::A(a) => (0..a.len())
+                            .map(|j| display(a.data.get(j), strings))
+                            .collect::<Vec<_>>()
+                            .join(" "),
+                    });
                 }
-                self.output.push(line);
+                self.output.push(words.join(" "));
             }
-            Stmt::Io { row, span } => {
-                self.enter(*row);
-                self.ctr.tick(1, *span)?;
-            }
-            Stmt::Stop { row } => {
-                self.enter(*row);
-                self.stopped = true;
-            }
-            Stmt::Fail { msg, row, span } => {
-                self.enter(*row);
-                return Err(fault(&**msg, *span));
-            }
-        }
-        Ok(())
-    }
-
-    /// Whole-array (`subs: None`) or section assignment. The right-hand
-    /// side is fully evaluated before any element is stored.
-    fn assign_array(
-        &mut self,
-        arr: usize,
-        subs: Option<&[Sub]>,
-        rhs: &Ex,
-        steps: u64,
-        span: Span,
-    ) -> R<()> {
-        let (m, c) = (&mut self.mem, &mut self.ctr);
-        c.tick(steps, span)?;
-        // Own the value before storing: it may read the target itself.
-        let v = match eval_ex(m, c, rhs)? {
-            Val::S(s) => Val::S(s),
-            Val::A(a) => Val::A(AVal::owned(a.extents.into_owned(), a.data.into_owned())),
-        };
-        let target = &m.arrays[arr];
-        let offsets = match subs {
-            None => None,
-            Some(subs) => Some(section(m, c, target, subs, span)?.0),
-        };
-        let n = offsets.as_ref().map_or(target.data.len(), Vec::len);
-        c.tick(n as u64, span)?;
-        let data = &mut m.arrays[arr].data;
-        match v {
-            Val::S(s) => match &offsets {
-                None => (0..n).for_each(|k| data.set(k, s)),
-                Some(o) => o.iter().for_each(|&k| data.set(k, s)),
-            },
-            Val::A(a) => {
-                if a.len() != n {
-                    return Err(fault(
-                        format!(
-                            "shape mismatch in assignment: section has {n} elements, RHS has {}",
-                            a.len()
-                        ),
-                        span,
-                    ));
-                }
-                data.scatter(offsets.as_deref(), &a.data);
-            }
+            Kind::Io => {}
+            Kind::Stop => self.stopped = true,
+            Kind::Fail(msg) => return Err(fault(&**msg, span)),
         }
         Ok(())
     }
@@ -1039,20 +963,26 @@ impl Evaluator<'_> {
     /// WHERE / ELSEWHERE: the mask is evaluated once; each body
     /// assignment then stores its right-hand side where the mask holds
     /// (ELSEWHERE: where it does not).
-    fn where_(&mut self, w: &Where) -> R<()> {
+    fn where_(
+        &mut self,
+        row: usize,
+        span: Span,
+        mask: &Ex,
+        body: &[WhereItem],
+        elsewhere: &[WhereItem],
+    ) -> R<()> {
         let (m, c) = (&mut self.mem, &mut self.ctr);
-        c.tick(w.mask_steps, w.span)?;
-        let mask: Vec<bool> = match eval_ex(m, c, &w.mask)? {
+        let mask: Vec<bool> = match eval_ex(m, c, mask)? {
             Val::A(a) => (0..a.len()).map(|i| a.data.get(i).truthy()).collect(),
-            Val::S(_) => return Err(fault("WHERE mask must be an array", w.span)),
+            Val::S(_) => return Err(fault("WHERE mask must be an array", span)),
         };
         let trues = mask.iter().filter(|&&b| b).count() as u64;
-        let st = &mut self.stats[w.row];
+        let st = &mut self.stats[row];
         st.mask_total += mask.len() as u64;
         st.mask_true += trues;
-        c.tick(mask.len() as u64, w.span)?;
+        c.tick(mask.len() as u64, span)?;
 
-        for (items, negate) in [(&w.body, false), (&w.elsewhere, true)] {
+        for (items, negate) in [(body, false), (elsewhere, true)] {
             for item in items {
                 let (target, rhs, steps, span) = match item {
                     WhereItem::Assign {

@@ -157,77 +157,62 @@ pub(crate) enum Sub {
     Range(Option<Sx>, Option<Sx>, Option<Sx>),
 }
 
-/// A lowered statement. `row` is the profile row of its span.
-pub(crate) enum Stmt {
+/// A lowered statement: its profile row, its span, the steps it charges
+/// on entry (the node counts of the expressions it evaluates once, plus
+/// one per scalar store or I/O statement), and what it does.
+pub(crate) struct Stmt {
+    pub row: usize,
+    pub span: Span,
+    pub steps: u64,
+    pub kind: Kind,
+}
+
+pub(crate) enum Kind {
     /// `var = rhs`.
     Scalar {
         slot: usize,
         coerce: Coerce,
         rhs: Sx,
-        steps: u64,
-        row: usize,
-        span: Span,
     },
     /// `arr(i, j, …) = rhs`.
     Element {
         elem: ElemRef,
         rhs: Sx,
-        steps: u64,
-        row: usize,
-        span: Span,
     },
     /// `arr = rhs` (`subs: None`) or `arr(section) = rhs`.
     Array {
         arr: usize,
         subs: Option<Box<[Sub]>>,
         rhs: Ex,
-        steps: u64,
-        row: usize,
-        span: Span,
     },
     Forall(Box<Forall>),
-    Where(Box<Where>),
+    /// WHERE / ELSEWHERE; the mask's node count is the entry charge.
+    Where {
+        mask: Ex,
+        body: Vec<WhereItem>,
+        elsewhere: Vec<WhereItem>,
+    },
     Do {
         var: usize,
         bounds: Box<(Sx, Sx, Option<Sx>)>,
-        steps: u64,
         body: Vec<Stmt>,
-        row: usize,
-        span: Span,
     },
+    /// The condition's node count is charged per evaluation.
     DoWhile {
         cond: Sx,
         steps: u64,
         body: Vec<Stmt>,
-        row: usize,
-        span: Span,
     },
     If {
         /// (condition, its node count, body).
         arms: Vec<(Sx, u64, Vec<Stmt>)>,
         else_body: Vec<Stmt>,
-        row: usize,
-        span: Span,
     },
-    Print {
-        items: Vec<Ex>,
-        steps: u64,
-        row: usize,
-        span: Span,
-    },
+    Print(Vec<Ex>),
     /// Parallel I/O: a counted no-op for the functional semantics.
-    Io {
-        row: usize,
-        span: Span,
-    },
-    Stop {
-        row: usize,
-    },
-    Fail {
-        msg: Box<str>,
-        row: usize,
-        span: Span,
-    },
+    Io,
+    Stop,
+    Fail(Box<str>),
 }
 
 /// A FORALL statement or construct.
@@ -254,16 +239,6 @@ pub(crate) enum ForallItem {
     },
     Nested(Box<Forall>),
     Fail(Box<str>, Span),
-}
-
-/// A WHERE construct.
-pub(crate) struct Where {
-    pub row: usize,
-    pub span: Span,
-    pub mask: Ex,
-    pub mask_steps: u64,
-    pub body: Vec<WhereItem>,
-    pub elsewhere: Vec<WhereItem>,
 }
 
 pub(crate) enum WhereItem {
@@ -380,75 +355,65 @@ impl<'a> Lower<'a> {
     }
 
     fn stmt(&mut self, st: &'a AstStmt) -> Stmt {
-        let row = self.row(st.span());
         let span = st.span();
-        let fail = |msg: String| Stmt::Fail {
-            msg: msg.into_boxed_str(),
+        let row = self.row(span);
+        let (steps, kind) = self
+            .kind(st, row)
+            .unwrap_or_else(|msg| (0, Kind::Fail(msg.into())));
+        Stmt {
             row,
             span,
-        };
-        match st {
+            steps,
+            kind,
+        }
+    }
+
+    /// A statement's entry steps and lowered form; `Err` is the error it
+    /// raises when reached.
+    fn kind(&mut self, st: &'a AstStmt, row: usize) -> Result<(u64, Kind), String> {
+        let int = "expected scalar integer, found array";
+        Ok(match st {
             AstStmt::Assign { lhs, rhs, .. } => {
-                let rhs_steps = nodes(rhs);
+                let steps = nodes(rhs) + sub_nodes(&lhs.subs);
                 if let Some(&arr) = self.array_slots.get(lhs.name.as_str()) {
                     if !lhs.subs.is_empty() && lhs.subs.iter().all(Subscript::is_index) {
-                        let elem = match self.elem(arr, &lhs.subs) {
-                            Ok(elem) => elem,
-                            Err(msg) => return fail(msg),
-                        };
+                        let elem = self.elem(arr, &lhs.subs)?;
                         let rhs = self.scalar(rhs, "cannot assign array to array element");
-                        return Stmt::Element {
-                            elem,
-                            rhs,
-                            steps: rhs_steps + sub_nodes(&lhs.subs) + 1,
-                            row,
-                            span,
-                        };
+                        return Ok((steps + 1, Kind::Element { elem, rhs }));
                     }
                     let subs = (!lhs.subs.is_empty()).then(|| self.subs(&lhs.subs));
-                    return Stmt::Array {
-                        arr,
-                        subs,
-                        rhs: self.expr(rhs),
-                        steps: rhs_steps + sub_nodes(&lhs.subs),
-                        row,
-                        span,
-                    };
+                    let rhs = self.expr(rhs);
+                    return Ok((steps, Kind::Array { arr, subs, rhs }));
                 }
                 let Some(&slot) = self.scalar_slots.get(lhs.name.as_str()) else {
-                    return fail(format!("`{}` is not a variable", lhs.name));
+                    return Err(format!("`{}` is not a variable", lhs.name));
                 };
                 if !lhs.subs.is_empty() {
-                    return fail(format!("`{}` is not an array", lhs.name));
+                    return Err(format!("`{}` is not an array", lhs.name));
                 }
-                match self.expr(rhs) {
-                    Ex::S(rhs) => Stmt::Scalar {
-                        slot,
-                        coerce: self.coerces[slot],
-                        rhs,
-                        steps: rhs_steps + 1,
-                        row,
-                        span,
-                    },
-                    Ex::A(_) => fail("cannot assign array to scalar".into()),
-                }
+                let Ex::S(rhs) = self.expr(rhs) else {
+                    return Err("cannot assign array to scalar".into());
+                };
+                let coerce = self.coerces[slot];
+                (steps + 1, Kind::Scalar { slot, coerce, rhs })
             }
-            AstStmt::Forall { header, body, .. } => {
-                Stmt::Forall(Box::new(self.forall(header, body, row, span)))
-            }
+            AstStmt::Forall { header, body, span } => (
+                0,
+                Kind::Forall(Box::new(self.forall(header, body, row, *span))),
+            ),
             AstStmt::Where {
                 mask,
                 body,
                 elsewhere,
                 ..
-            } => Stmt::Where(Box::new(Where {
-                row,
-                span,
-                mask: self.expr(mask),
-                mask_steps: nodes(mask),
-                body: self.where_items(body),
-                elsewhere: self.where_items(elsewhere),
-            })),
+            } => (
+                nodes(mask),
+                Kind::Where {
+                    mask: self.expr(mask),
+                    body: self.where_items(body),
+                    elsewhere: self.where_items(elsewhere),
+                },
+            ),
             AstStmt::Do {
                 var,
                 lo,
@@ -458,57 +423,50 @@ impl<'a> Lower<'a> {
                 ..
             } => {
                 let Some(&var) = self.scalar_slots.get(var.as_str()) else {
-                    return fail(format!("DO variable `{var}` is not a scalar variable"));
+                    return Err(format!("DO variable `{var}` is not a scalar variable"));
                 };
-                let int = "expected scalar integer, found array";
-                Stmt::Do {
-                    var,
-                    bounds: Box::new((
-                        self.scalar(lo, int),
-                        self.scalar(hi, int),
-                        step.as_ref().map(|s| self.scalar(s, int)),
-                    )),
-                    steps: nodes(lo) + nodes(hi) + step.as_ref().map_or(0, nodes),
-                    body: self.stmts(body),
-                    row,
-                    span,
-                }
+                let bounds = Box::new((
+                    self.scalar(lo, int),
+                    self.scalar(hi, int),
+                    step.as_ref().map(|s| self.scalar(s, int)),
+                ));
+                let steps = nodes(lo) + nodes(hi) + step.as_ref().map_or(0, nodes);
+                let body = self.stmts(body);
+                (steps, Kind::Do { var, bounds, body })
             }
-            AstStmt::DoWhile { cond, body, .. } => Stmt::DoWhile {
-                cond: self.scalar(cond, "DO WHILE condition must be scalar LOGICAL"),
-                steps: nodes(cond),
-                body: self.stmts(body),
-                row,
-                span,
-            },
+            AstStmt::DoWhile { cond, body, .. } => {
+                let steps = nodes(cond);
+                let cond = self.scalar(cond, "DO WHILE condition must be scalar LOGICAL");
+                let body = self.stmts(body);
+                (0, Kind::DoWhile { cond, steps, body })
+            }
             AstStmt::If {
                 arms, else_body, ..
-            } => Stmt::If {
-                arms: arms
+            } => {
+                let arms = arms
                     .iter()
                     .map(|(c, b)| {
                         let cond = self.scalar(c, "IF condition must be scalar LOGICAL");
                         (cond, nodes(c), self.stmts(b))
                     })
-                    .collect(),
-                else_body: self.stmts(else_body),
-                row,
-                span,
-            },
+                    .collect();
+                let else_body = self.stmts(else_body);
+                (0, Kind::If { arms, else_body })
+            }
             // The subset has no user procedures; CALL is accepted by the
             // parser for completeness but has no executable semantics.
-            AstStmt::Call { name, .. } => fail(format!(
-                "CALL to `{name}` — user procedures are outside the subset"
-            )),
-            AstStmt::Print { items, .. } => Stmt::Print {
-                items: items.iter().map(|e| self.expr(e)).collect(),
-                steps: items.iter().map(nodes).sum::<u64>() + 1,
-                row,
-                span,
-            },
-            AstStmt::Stop { .. } => Stmt::Stop { row },
-            AstStmt::Io { .. } => Stmt::Io { row, span },
-        }
+            AstStmt::Call { name, .. } => {
+                return Err(format!(
+                    "CALL to `{name}` — user procedures are outside the subset"
+                ))
+            }
+            AstStmt::Print { items, .. } => (
+                items.iter().map(nodes).sum::<u64>() + 1,
+                Kind::Print(items.iter().map(|e| self.expr(e)).collect()),
+            ),
+            AstStmt::Stop { .. } => (0, Kind::Stop),
+            AstStmt::Io { .. } => (1, Kind::Io),
+        })
     }
 
     fn forall(
