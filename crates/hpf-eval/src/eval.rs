@@ -84,7 +84,7 @@ pub fn run_with_limit(
     let prog = lower::lower(analyzed);
     let mut ev = Evaluator {
         mem: Mem {
-            scalars: prog.scalars.iter().map(|(_, _, init)| *init).collect(),
+            scalars: prog.scalars.iter().map(|(_, init)| *init).collect(),
             arrays: prog
                 .arrays
                 .iter()
@@ -116,7 +116,7 @@ pub fn run_with_limit(
         .scalars
         .iter()
         .zip(&ev.mem.scalars)
-        .map(|((name, _, _), &v)| (name.clone(), value(v, &prog.strings)))
+        .map(|((name, _), &v)| (name.clone(), value(v, &prog.strings)))
         .collect();
     Ok(RunOutcome {
         output: ev.output,
@@ -300,11 +300,6 @@ fn eval_s(m: &Mem, c: &mut Counter, e: &Sx) -> R<Scalar> {
         Sx::Binary(op, lr, span) => {
             let l = eval_s(m, c, &lr.0)?;
             let r = eval_s(m, c, &lr.1)?;
-            if let (Scalar::Real(a), Scalar::Real(b)) = (l, r) {
-                if ops::is_arith(*op) {
-                    return Ok(Scalar::Real(ops::arith_f(*op, a, b)));
-                }
-            }
             ops::binary(*op, l, r).ok_or_else(|| fault("bad operands", *span))
         }
         Sx::Unary(op, x, span) => ops::unary(*op, eval_s(m, c, x)?)
@@ -670,16 +665,6 @@ fn value(v: Scalar, strings: &[String]) -> Value {
     }
 }
 
-fn display(v: Scalar, strings: &[String]) -> String {
-    match v {
-        Scalar::Int(i) => i.to_string(),
-        Scalar::Real(r) => r.to_string(),
-        Scalar::Logical(true) => "T".into(),
-        Scalar::Logical(false) => "F".into(),
-        Scalar::Str(i) => strings[i as usize].clone(),
-    }
-}
-
 /// Whole-array (`subs: None`) or section assignment. The right-hand
 /// side is fully evaluated before any element is stored.
 fn assign_array(
@@ -822,9 +807,9 @@ impl Evaluator<'_> {
                 let mut words = Vec::with_capacity(items.len());
                 for e in items {
                     words.push(match eval_ex(m, c, e)? {
-                        Val::S(v) => display(v, strings),
+                        Val::S(v) => value(v, strings).to_string(),
                         Val::A(a) => (0..a.len())
-                            .map(|j| display(a.data.get(j), strings))
+                            .map(|j| value(a.data.get(j), strings).to_string())
                             .collect::<Vec<_>>()
                             .join(" "),
                     });

@@ -25,8 +25,8 @@ pub(crate) type Shape = Vec<(i64, i64)>;
 /// A lowered program.
 pub(crate) struct Program {
     pub stmts: Vec<Stmt>,
-    /// Scalar variables in name order: name, store coercion, initial value.
-    pub scalars: Vec<(String, Coerce, Scalar)>,
+    /// Scalar variables in name order: name, initial value.
+    pub scalars: Vec<(String, Scalar)>,
     /// Arrays: name, element type, shape.
     pub arrays: Vec<(String, TypeSpec, Shape)>,
     /// Span key of each profile row.
@@ -300,7 +300,7 @@ pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Program {
                 };
                 l.scalar_slots.insert(name.as_str(), scalars.len());
                 l.coerces.push(coerce);
-                scalars.push((name.clone(), coerce, init));
+                scalars.push((name.clone(), init));
             }
             SymbolKind::Array { shape } => {
                 l.array_slots.insert(name.as_str(), l.arrays.len());
