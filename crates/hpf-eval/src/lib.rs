@@ -532,6 +532,18 @@ END
     }
 
     #[test]
+    fn nonunit_lower_bounds() {
+        let out = run_src(
+            "PROGRAM T\nREAL A(0:4), X, S\nA(0) = 7.0\nA(1:4) = 1.0\nX = A(0)\nS = SUM(A(0:1))\nEND\n",
+        );
+        assert_eq!((f(&out, "X"), f(&out, "S")), (7.0, 8.0));
+        let p = parse_program("PROGRAM T\nREAL A(0:4)\nA(5) = 1.0\nEND\n").unwrap();
+        assert!(run(&analyze(&p, &BTreeMap::new()).unwrap()).is_err());
+        let p = parse_program("PROGRAM T\nREAL A(0:4)\nA(-1) = 1.0\nEND\n").unwrap();
+        assert!(run(&analyze(&p, &BTreeMap::new()).unwrap()).is_err());
+    }
+
+    #[test]
     fn double_precision_arrays() {
         let out = run_src("PROGRAM T\nDOUBLE PRECISION A(4)\nREAL S\nA = 0.25\nS = SUM(A)\nEND\n");
         assert_eq!(f(&out, "S"), 1.0);

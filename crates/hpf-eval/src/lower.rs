@@ -102,30 +102,22 @@ pub(crate) enum Subscr {
 
 impl Subscr {
     fn new(sx: Sx) -> Subscr {
-        let int = |s: &Sx| match s {
-            Sx::Const(Scalar::Int(c)) => Some(*c),
-            _ => None,
-        };
+        use Scalar::Int;
         match sx {
             Sx::Index(r) => Subscr::Affine(r, 0),
-            Sx::Const(Scalar::Int(c)) => Subscr::Const(c),
-            Sx::Binary(op @ (BinOp::Add | BinOp::Sub), lr, span) => match (&lr.0, &lr.1) {
-                (Sx::Index(r), k) if int(k).is_some() => {
-                    let k = int(k).unwrap_or_default();
-                    Subscr::Affine(
-                        *r,
-                        if op == BinOp::Add {
-                            k
-                        } else {
-                            k.wrapping_neg()
-                        },
-                    )
+            Sx::Const(Int(c)) => Subscr::Const(c),
+            Sx::Binary(op, lr, span) => {
+                let affine = match (op, &*lr) {
+                    (BinOp::Add, (Sx::Index(r), Sx::Const(Int(k))))
+                    | (BinOp::Add, (Sx::Const(Int(k)), Sx::Index(r))) => Some((*r, *k)),
+                    (BinOp::Sub, (Sx::Index(r), Sx::Const(Int(k)))) => Some((*r, k.wrapping_neg())),
+                    _ => None,
+                };
+                match affine {
+                    Some((r, k)) => Subscr::Affine(r, k),
+                    None => Subscr::Expr(Sx::Binary(op, lr, span)),
                 }
-                (k, Sx::Index(r)) if op == BinOp::Add && int(k).is_some() => {
-                    Subscr::Affine(*r, int(k).unwrap_or_default())
-                }
-                _ => Subscr::Expr(Sx::Binary(op, lr, span)),
-            },
+            }
             other => Subscr::Expr(other),
         }
     }
