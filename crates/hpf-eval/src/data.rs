@@ -98,30 +98,6 @@ impl Data {
             Data::Mixed(v)
         }
     }
-
-    /// The INTEGER/REAL view of a typed numeric array, if it is one.
-    fn numeric(&self) -> Option<Num<'_>> {
-        match self {
-            Data::Real(v) => Some(Num::Real(v)),
-            Data::Int(v) => Some(Num::Int(v)),
-            Data::Mixed(_) => None,
-        }
-    }
-}
-
-enum Num<'a> {
-    Real(&'a [f64]),
-    Int(&'a [i64]),
-}
-
-impl Num<'_> {
-    #[inline]
-    fn f(&self, i: usize) -> f64 {
-        match self {
-            Num::Real(v) => v[i],
-            Num::Int(v) => v[i] as f64,
-        }
-    }
 }
 
 /// One operand of an elementwise binary operation.
@@ -138,71 +114,41 @@ impl Operand<'_> {
             Operand::Array(d) => d.get(i),
         }
     }
+
+    fn is_int(&self) -> bool {
+        matches!(
+            self,
+            Operand::Scalar(Scalar::Int(_)) | Operand::Array(Data::Int(_))
+        )
+    }
 }
 
 /// Elementwise `l op r` over `n` elements; `None` on an operand type error.
+/// A zero-size result is INTEGER for arithmetic on INTEGER operands, REAL
+/// for other arithmetic and LOGICAL otherwise.
 pub(crate) fn binary(op: BinOp, l: &Operand, r: &Operand, n: usize) -> Option<Data> {
-    if ops::is_arith(op) {
-        // Typed fast paths: the same arithmetic as `ops::binary`,
-        // without boxing each element.
-        match (l, r) {
-            (Operand::Array(Data::Int(a)), Operand::Array(Data::Int(b))) => {
-                return a
-                    .iter()
-                    .zip(b.iter())
-                    .map(|(&x, &y)| ops::arith_i(op, x, y))
-                    .collect::<Option<_>>()
-                    .map(Data::Int)
-            }
-            (Operand::Array(Data::Int(a)), Operand::Scalar(Scalar::Int(y))) => {
-                return a
-                    .iter()
-                    .map(|&x| ops::arith_i(op, x, *y))
-                    .collect::<Option<_>>()
-                    .map(Data::Int)
-            }
-            (Operand::Scalar(Scalar::Int(x)), Operand::Array(Data::Int(b))) => {
-                return b
-                    .iter()
-                    .map(|&y| ops::arith_i(op, *x, y))
-                    .collect::<Option<_>>()
-                    .map(Data::Int)
-            }
-            _ => {}
-        }
-        fn real<'a>(o: &Operand<'a>) -> Option<Result<f64, Num<'a>>> {
-            match o {
-                Operand::Scalar(s) => s.as_f64().map(Ok),
-                Operand::Array(d) => d.numeric().map(Err),
-            }
-        }
-        if let (Some(a), Some(b)) = (real(l), real(r)) {
-            let out = match (a, b) {
-                (Err(x), Err(y)) => (0..n).map(|i| ops::arith_f(op, x.f(i), y.f(i))).collect(),
-                (Err(x), Ok(y)) => (0..n).map(|i| ops::arith_f(op, x.f(i), y)).collect(),
-                (Ok(x), Err(y)) => (0..n).map(|i| ops::arith_f(op, x, y.f(i))).collect(),
-                (Ok(x), Ok(y)) => vec![ops::arith_f(op, x, y); n],
-            };
-            return Some(Data::Real(out));
-        }
-    }
-    (0..n)
+    let v = (0..n)
         .map(|i| ops::binary(op, l.get(i), r.get(i)))
-        .collect::<Option<_>>()
-        .map(Data::Mixed)
+        .collect::<Option<Vec<_>>>()?;
+    let empty = match (ops::is_arith(op), l.is_int() && r.is_int()) {
+        (true, true) => TypeSpec::Integer,
+        (true, false) => TypeSpec::Real,
+        (false, _) => TypeSpec::Logical,
+    };
+    Some(Data::pack(v, empty))
 }
 
 /// Elementwise unary operator; `None` on an operand type error.
 pub(crate) fn unary(op: UnOp, a: &Data) -> Option<Data> {
-    match (op, a) {
-        (UnOp::Plus, Data::Real(_) | Data::Int(_)) => Some(a.clone()),
-        (UnOp::Neg, Data::Real(v)) => Some(Data::Real(v.iter().map(|x| -x).collect())),
-        (UnOp::Neg, Data::Int(v)) => Some(Data::Int(v.iter().map(|x| x.wrapping_neg()).collect())),
-        _ => (0..a.len())
-            .map(|i| ops::unary(op, a.get(i)))
-            .collect::<Option<_>>()
-            .map(Data::Mixed),
-    }
+    let v = (0..a.len())
+        .map(|i| ops::unary(op, a.get(i)))
+        .collect::<Option<Vec<_>>>()?;
+    let empty = match (op, a) {
+        (UnOp::Not, _) | (_, Data::Mixed(_)) => TypeSpec::Logical,
+        (_, Data::Int(_)) => TypeSpec::Integer,
+        (_, Data::Real(_)) => TypeSpec::Real,
+    };
+    Some(Data::pack(v, empty))
 }
 
 /// SUM / PRODUCT / MAXVAL / MINVAL, folding left to right from the first

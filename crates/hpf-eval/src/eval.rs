@@ -225,6 +225,13 @@ impl<'m> Val<'m> {
             Val::A(_) => None,
         }
     }
+    /// A value that no longer borrows storage.
+    fn into_owned(self) -> Val<'static> {
+        match self {
+            Val::S(s) => Val::S(s),
+            Val::A(a) => Val::A(AVal::owned(a.extents.into_owned(), a.data.into_owned())),
+        }
+    }
 }
 
 /// A set of FORALL index tuples, `stride` registers each, stored flat.
@@ -676,10 +683,7 @@ fn assign_array(
     span: Span,
 ) -> R<()> {
     // Own the value before storing: it may read the target itself.
-    let v = match eval_ex(m, c, rhs)? {
-        Val::S(s) => Val::S(s),
-        Val::A(a) => Val::A(AVal::owned(a.extents.into_owned(), a.data.into_owned())),
-    };
+    let v = eval_ex(m, c, rhs)?.into_owned();
     let target = &m.arrays[arr];
     let offsets = match subs {
         None => None,
@@ -866,8 +870,7 @@ impl Evaluator<'_> {
                 c.tick(total.saturating_mul(*mask_steps), f.span)?;
             }
             // Enumerate the index space, first triplet fastest.
-            let before = active.count;
-            let mut mask_true = 0u64;
+            let mut kept = 0u64;
             let mut counters = vec![0i64; ranges.len()];
             for _ in 0..total {
                 for (d, (&(lo, _, step), &k)) in ranges.iter().zip(&counters).enumerate() {
@@ -881,7 +884,7 @@ impl Evaluator<'_> {
                     },
                 };
                 if keep {
-                    mask_true += 1;
+                    kept += 1;
                     active.data.extend_from_slice(&m.idx[..stride]);
                     active.count += 1;
                 }
@@ -896,9 +899,9 @@ impl Evaluator<'_> {
             let st = &mut self.stats[f.row];
             if f.mask.is_some() {
                 st.mask_total += total;
-                st.mask_true += mask_true;
+                st.mask_true += kept;
             }
-            st.iterations += (active.count - before) as u64;
+            st.iterations += kept;
         }
 
         for item in &f.body {
@@ -924,17 +927,8 @@ impl Evaluator<'_> {
                         scratch.push((off, v));
                     }
                     let data = &mut m.arrays[elem.arr].data;
-                    match data {
-                        Data::Real(d) => {
-                            for &(off, v) in &scratch {
-                                d[off] = v.as_f64().unwrap_or(0.0);
-                            }
-                        }
-                        _ => {
-                            for &(off, v) in &scratch {
-                                data.set(off, v);
-                            }
-                        }
+                    for &(off, v) in &scratch {
+                        data.set(off, v);
                     }
                     self.scratch = scratch;
                 }
@@ -979,10 +973,8 @@ impl Evaluator<'_> {
                     WhereItem::Fail(msg, span) => return Err(fault(&**msg, *span)),
                 };
                 c.tick(*steps, *span)?;
-                let v = match eval_ex(m, c, rhs)? {
-                    Val::S(s) => Val::S(s),
-                    Val::A(a) => Val::A(AVal::owned(a.extents.into_owned(), a.data.into_owned())),
-                };
+                // Own the value: the target may be one of its operands.
+                let v = eval_ex(m, c, rhs)?.into_owned();
                 let arr = *target.as_ref().map_err(|msg| fault(&**msg, *span))?;
                 let target = &mut m.arrays[arr];
                 if mask.len() < target.data.len() {
