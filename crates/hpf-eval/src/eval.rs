@@ -8,7 +8,7 @@
 //! data-dependent execution profiles for the machine simulator, and
 //! critical-variable resolution of last resort.
 //!
-//! A run lowers the program once ([`crate::lower`]: names to slots,
+//! A run lowers the program once (`lower.rs`: names to slots,
 //! statements to profile rows) and then executes the lowered tree over
 //! slot-indexed storage: `Copy` scalars and typed arrays.
 
