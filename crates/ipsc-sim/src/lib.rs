@@ -480,6 +480,43 @@ END
         assert_eq!(r.fault_stats.undeliverable, 0);
     }
 
+    /// Network faults take effect on every backend, not only the
+    /// hypercube: message loss and a severed link on a real link of each
+    /// topology change the simulated time and are counted.
+    #[test]
+    fn network_faults_apply_on_every_backend() {
+        for name in ["torus3d", "fattree", "multicore"] {
+            let m = hpf_machines::machine(name).unwrap().params(8).unwrap();
+            let topo = hpf_machines::build_topology(&m.topology, 8).unwrap();
+            let neighbor = topo.vertex_neighbors(0)[0];
+            let run = |plan: machine::FaultPlan| {
+                Simulator::with_config(
+                    &m,
+                    SimConfig {
+                        runs: 30,
+                        faults: plan,
+                        ..Default::default()
+                    },
+                )
+                .simulate(&spmd(8), None)
+            };
+            let healthy = run(machine::FaultPlan::none());
+            for plan in [
+                machine::FaultPlan::lossy(0.2),
+                machine::FaultPlan::link_down(0, neighbor),
+            ] {
+                let r = run(plan.clone());
+                assert_ne!(
+                    r.mean.to_bits(),
+                    healthy.mean.to_bits(),
+                    "{name} {}",
+                    plan.name
+                );
+                assert!(r.fault_stats.any(), "{name} {}", plan.name);
+            }
+        }
+    }
+
     #[test]
     fn slow_node_slows_compute_not_comm() {
         let m = ipsc860(8);
