@@ -1,11 +1,13 @@
 //! Microbenchmarks of the machine substrate: collective cost evaluation,
-//! event-level phase simulation, hypercube routing, and the functional
+//! event-level phase simulation, allocation-free routing, and the functional
 //! interpreter's element throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpf_lang::{analyze, parse_program};
+use hpf_machines::topology::HypercubeTopo;
+use hpf_machines::Topology;
 use ipsc_sim::network::{patterns, simulate_phase};
-use machine::{ipsc860, CollectiveOp, Hypercube};
+use machine::{ipsc860, CollectiveOp};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -17,19 +19,32 @@ fn bench_machine(c: &mut Criterion) {
         b.iter(|| m.collective_time(black_box(CollectiveOp::Reduce), 8, 4))
     });
 
-    let cube = Hypercube { dim: 3 };
+    let cube = HypercubeTopo::fitting(8);
     let shift = patterns::shift(8, 1024);
     g.bench_function("des_phase/shift_p8_1k", |b| {
-        b.iter(|| simulate_phase(cube, &m.comm, 8, black_box(&shift)))
+        b.iter(|| simulate_phase(&cube, &m.comm, 8, black_box(&shift)))
     });
 
-    g.bench_function("ecube_routes/all_pairs_d5", |b| {
-        let h = Hypercube { dim: 5 };
+    let reduce = patterns::reduce_stages(cube.cube.dim, 8, 4);
+    g.bench_function("des_phase/reduce_p8_4b", |b| {
         b.iter(|| {
-            let mut total = 0u32;
+            reduce
+                .iter()
+                .map(|stage| simulate_phase(&cube, &m.comm, 8, black_box(stage)).duration)
+                .sum::<f64>()
+        })
+    });
+
+    g.bench_function("route_into/all_pairs_d5", |b| {
+        let h = HypercubeTopo::fitting(32);
+        let mut route = Vec::new();
+        b.iter(|| {
+            let mut total = 0usize;
             for a in 0..h.nodes() {
                 for b2 in 0..h.nodes() {
-                    total += h.route(a, b2).len() as u32;
+                    route.clear();
+                    h.route_into(a, b2, &mut route);
+                    total += route.len();
                 }
             }
             total

@@ -229,6 +229,7 @@ fn faults_case(size: usize, procs: usize, runs: usize) -> BenchCase {
                 runs,
                 profile_steps: 2_000_000,
                 plans: default_plans(),
+                ..Default::default()
             };
             let rows = fault_experiment(&cfg).expect("fault experiment runs");
             assert_eq!(rows.len(), default_plans().len());

@@ -22,6 +22,13 @@ pub enum TopologyError {
         nodes: usize,
         reason: String,
     },
+    /// A fault plan names a link the topology does not have (the two
+    /// vertices are not adjacent, or not vertices at all).
+    NoSuchLink {
+        topology: &'static str,
+        a: usize,
+        b: usize,
+    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -39,6 +46,10 @@ impl std::fmt::Display for TopologyError {
             } => write!(
                 f,
                 "machine `{machine}` cannot run on {nodes} node(s): {reason}"
+            ),
+            TopologyError::NoSuchLink { topology, a, b } => write!(
+                f,
+                "fault plan names link {a}-{b}, which the {topology} interconnect does not have"
             ),
         }
     }

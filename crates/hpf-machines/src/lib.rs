@@ -36,4 +36,4 @@ pub mod topology;
 pub use error::TopologyError;
 pub use refs::{calibration_references, CalibrationReference};
 pub use registry::{machine, machine_names, registry, MachineModel, DEFAULT_MACHINE};
-pub use topology::{build_topology, Topology};
+pub use topology::{build_topology, check_link_faults, Topology};

@@ -54,8 +54,8 @@ pub trait MachineModel: Send + Sync {
     }
 
     /// Fault-plan degradation: rescale the parameter tables for a
-    /// degraded machine state (analytic hook; DES-level link rerouting
-    /// remains hypercube-only).
+    /// degraded machine state (the analytic side; the DES injects the
+    /// same plan's network faults on every topology).
     fn degrade(&self, params: &machine::MachineModel, plan: &FaultPlan) -> machine::MachineModel {
         params.degrade(plan)
     }

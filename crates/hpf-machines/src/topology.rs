@@ -4,6 +4,9 @@
 //! model asks: *how many link-occupancy slots are there* ([`Topology::link_slots`]),
 //! *which slot does a traversed link occupy* ([`Topology::link_index`]),
 //! and *which links does a message cross* ([`Topology::route_links`]).
+//! The DES hot loop asks the last two at once through
+//! [`Topology::route_into`], which appends a route's slots without
+//! allocating.
 //! Routes may pass through **switch vertices** — vertex ids `>=
 //! nodes()` (the fat tree's leaf and root switches); compute nodes are
 //! always vertices `0..nodes()`.
@@ -15,7 +18,7 @@
 //! bit-stable.
 
 use crate::error::TopologyError;
-use machine::{Hypercube, TopologyDesc};
+use machine::{FaultPlan, Hypercube, TopologyDesc};
 
 /// Routing/occupancy view of one interconnect instance.
 pub trait Topology: Send + Sync {
@@ -40,6 +43,11 @@ pub trait Topology: Send + Sync {
     /// order, as `(from, to)` vertex pairs. Empty when `a == b`.
     fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)>;
 
+    /// Append the occupancy slots of the `a -> b` route to `out`, in
+    /// traversal order: exactly `route_links(a, b)` mapped through
+    /// `link_index`, computed on the fly without allocating.
+    fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>);
+
     /// Vertices adjacent to vertex `v` (switch vertices included).
     fn vertex_neighbors(&self, v: usize) -> Vec<usize>;
 
@@ -50,6 +58,25 @@ pub trait Topology: Send + Sync {
 
     /// Maximum hop count over all node pairs.
     fn diameter(&self) -> usize;
+}
+
+/// Check that every link fault of `plan` names a link of `topo`. A fault
+/// on a pair of vertices that are not adjacent could never be crossed by
+/// a message, so the plan is rejected instead of silently doing nothing.
+pub fn check_link_faults(topo: &dyn Topology, plan: &FaultPlan) -> Result<(), TopologyError> {
+    for f in &plan.link_faults {
+        let adjacent = f.a < topo.vertices()
+            && f.b < topo.vertices()
+            && topo.vertex_neighbors(f.a).contains(&f.b);
+        if !adjacent {
+            return Err(TopologyError::NoSuchLink {
+                topology: topo.kind(),
+                a: f.a,
+                b: f.b,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Build the topology for a machine description, validating the node
@@ -153,6 +180,20 @@ impl Topology for HypercubeTopo {
 
     fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
         self.cube.route_links(a, b)
+    }
+
+    /// E-cube order: the set bits of `a ^ b`, lowest first.
+    fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
+        let dim = (self.cube.dim as usize).max(1);
+        let mut cur = a;
+        let mut diff = a ^ b;
+        while diff != 0 {
+            let d = diff.trailing_zeros() as usize;
+            let next = cur ^ (1 << d);
+            out.push(cur.min(next) * dim + d);
+            cur = next;
+            diff &= diff - 1;
+        }
     }
 
     fn vertex_neighbors(&self, v: usize) -> Vec<usize> {
@@ -267,6 +308,41 @@ impl Topology for TorusTopo {
         links
     }
 
+    /// Dimension-ordered like [`Topology::route_links`], but each axis is
+    /// walked as a coordinate and a stride instead of a coordinate vector.
+    fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
+        let ndims = self.dims.len();
+        let mut cur = a;
+        let mut stride = 1;
+        for (d, &e) in self.dims.iter().enumerate() {
+            let mut c = cur / stride % e;
+            let target = b / stride % e;
+            while c != target {
+                let fwd = (target + e - c) % e;
+                // Shorter wrap direction; ties go +1. The endpoint whose +1
+                // step crosses the link owns its slot; extent-2 rings key
+                // both directions by the lower endpoint.
+                let (next_c, plus) = if fwd <= e - fwd {
+                    ((c + 1) % e, true)
+                } else {
+                    ((c + e - 1) % e, false)
+                };
+                let next = cur - c * stride + next_c * stride;
+                let owner = if e == 2 {
+                    cur.min(next)
+                } else if plus {
+                    cur
+                } else {
+                    next
+                };
+                out.push(owner * ndims + d);
+                cur = next;
+                c = next_c;
+            }
+            stride *= e;
+        }
+    }
+
     fn vertex_neighbors(&self, v: usize) -> Vec<usize> {
         let mut out = Vec::new();
         for d in 0..self.dims.len() {
@@ -362,6 +438,20 @@ impl Topology for FatTreeTopo {
         }
     }
 
+    /// Node down-links are keyed by the node, leaf up-links by the leaf
+    /// switch vertex.
+    fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
+        if a == b {
+            return;
+        }
+        let (la, lb) = (self.leaf_of(a), self.leaf_of(b));
+        if la == lb {
+            out.extend([a, b]);
+        } else {
+            out.extend([a, la, lb, b]);
+        }
+    }
+
     fn vertex_neighbors(&self, v: usize) -> Vec<usize> {
         if v < self.nodes {
             vec![self.leaf_of(v)]
@@ -420,6 +510,12 @@ impl Topology for CrossbarTopo {
         }
     }
 
+    fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
+        if a != b {
+            out.push(b);
+        }
+    }
+
     fn vertex_neighbors(&self, v: usize) -> Vec<usize> {
         (0..self.nodes).filter(|&o| o != v).collect()
     }
@@ -427,6 +523,26 @@ impl Topology for CrossbarTopo {
     fn diameter(&self) -> usize {
         usize::from(self.nodes > 1)
     }
+}
+
+/// Test oracle: `route_into` appends exactly the slots of `route_links`
+/// mapped through `link_index`, and leaves what `out` held before.
+#[cfg(test)]
+fn check_route_into(topo: &dyn Topology, a: usize, b: usize) {
+    let expect: Vec<usize> = topo
+        .route_links(a, b)
+        .into_iter()
+        .map(|(u, v)| topo.link_index(u, v))
+        .collect();
+    let mut out = vec![usize::MAX];
+    topo.route_into(a, b, &mut out);
+    assert_eq!(
+        out[0],
+        usize::MAX,
+        "{}: route_into cleared its buffer",
+        topo.kind()
+    );
+    assert_eq!(out[1..], expect[..], "{} {a}->{b}", topo.kind());
 }
 
 #[cfg(test)]
@@ -522,6 +638,28 @@ mod tests {
         assert_eq!(t.link_index(5, 1), 3 + 2); // min(1,5)*dim + crossed dim 2
     }
 
+    /// Up to 1024 nodes every hypercube link maps inside `link_slots`,
+    /// the same slot from either end, and distinct links never share a
+    /// slot (`nodes * dim / 2` of them; the rest of the table is unused).
+    #[test]
+    fn hypercube_link_slots_are_distinct_up_to_1024_nodes() {
+        for dim in 1u32..=10 {
+            let t = HypercubeTopo {
+                cube: Hypercube { dim },
+            };
+            let mut seen = std::collections::HashSet::new();
+            for a in 0..t.nodes() {
+                for b in t.vertex_neighbors(a) {
+                    let i = t.link_index(a, b);
+                    assert!(i < t.link_slots(), "dim {dim}: link ({a},{b}) -> {i}");
+                    assert_eq!(i, t.link_index(b, a), "must be undirected");
+                    seen.insert(i);
+                }
+            }
+            assert_eq!(seen.len(), t.nodes() * dim as usize / 2, "dim {dim}");
+        }
+    }
+
     #[test]
     fn fat_tree_routes_are_up_down() {
         let t = FatTreeTopo {
@@ -547,6 +685,62 @@ mod tests {
         check_routes(&t);
         // Both directions across an extent-2 ring share one slot.
         assert_eq!(t.link_index(0, 1), t.link_index(1, 0));
+    }
+
+    /// Every backend at every node count to 16 and a spread of larger
+    /// ones up to 128, every pair: `route_into` is `route_links` mapped
+    /// through `link_index`.
+    #[test]
+    fn route_into_matches_route_links_up_to_128_nodes() {
+        for n in (1..=16usize).chain([24, 27, 32, 48, 64, 100, 128]) {
+            let mut topos: Vec<Box<dyn Topology>> = vec![
+                Box::new(TorusTopo {
+                    dims: crate::registry::balanced_dims3(n),
+                }),
+                Box::new(FatTreeTopo { nodes: n, radix: 4 }),
+                Box::new(FatTreeTopo { nodes: n, radix: 3 }),
+                Box::new(CrossbarTopo { nodes: n }),
+            ];
+            if n.is_power_of_two() {
+                topos.push(Box::new(HypercubeTopo::fitting(n)));
+            }
+            for topo in &topos {
+                for a in 0..n {
+                    for b in 0..n {
+                        check_route_into(topo.as_ref(), a, b);
+                    }
+                }
+            }
+        }
+        for dims in [vec![2, 3, 4], vec![5, 5], vec![3, 1, 7], vec![8, 4, 4]] {
+            let topo = TorusTopo { dims };
+            for a in 0..topo.nodes() {
+                for b in 0..topo.nodes() {
+                    check_route_into(&topo, a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn link_faults_must_name_real_links() {
+        let cube = HypercubeTopo::fitting(8);
+        assert!(check_link_faults(&cube, &FaultPlan::link_down(0, 4)).is_ok());
+        assert_eq!(
+            check_link_faults(&cube, &FaultPlan::link_down(0, 3)),
+            Err(TopologyError::NoSuchLink {
+                topology: "hypercube",
+                a: 0,
+                b: 3
+            })
+        );
+        assert!(check_link_faults(&cube, &FaultPlan::degraded_link(0, 99, 2.0)).is_err());
+        // The fat tree's links join nodes to switch vertices.
+        let tree = FatTreeTopo { nodes: 8, radix: 4 };
+        assert!(check_link_faults(&tree, &FaultPlan::link_down(0, 8)).is_ok());
+        assert!(check_link_faults(&tree, &FaultPlan::link_down(0, 1)).is_err());
+        // Loss and node faults name no link.
+        assert!(check_link_faults(&tree, &FaultPlan::lossy(0.5)).is_ok());
     }
 
     #[test]
@@ -622,6 +816,24 @@ mod topology_properties {
                 let a = pair.0 % topo.nodes();
                 let b = pair.1 % topo.nodes();
                 route_is_shortest(topo.as_ref(), a, b);
+            }
+        }
+
+        /// At 4096 nodes, sampled pairs: `route_into` is `route_links`
+        /// mapped through `link_index` on all four backends.
+        #[test]
+        fn route_into_matches_route_links_at_4096_nodes(
+            pair in (0usize..4096, 0usize..4096),
+        ) {
+            let topos: Vec<Box<dyn Topology>> = vec![
+                Box::new(HypercubeTopo::fitting(4096)),
+                Box::new(TorusTopo { dims: crate::registry::balanced_dims3(4096) }),
+                Box::new(TorusTopo { dims: vec![64, 64] }),
+                Box::new(FatTreeTopo { nodes: 4096, radix: 4 }),
+                Box::new(CrossbarTopo { nodes: 4096 }),
+            ];
+            for topo in &topos {
+                super::check_route_into(topo.as_ref(), pair.0, pair.1);
             }
         }
     }

@@ -13,8 +13,7 @@ pub mod simulator;
 pub mod trace;
 
 pub use network::{
-    route_table, simulate_phase, simulate_phase_faulty, simulate_phase_topo, simulate_phase_with,
-    FaultStats, Message, PhaseTiming, RouteTable, ROUTE_TABLE_MAX_DIM,
+    simulate_phase, simulate_phase_faulty, FaultStats, Message, PhaseTiming, SlotFaults,
 };
 pub use simulator::{
     calibrate, calibrate_backend, calibrate_params, collective_base_time,
@@ -159,40 +158,10 @@ END
 #[cfg(test)]
 mod machine_backend_tests {
     use super::*;
-    use hpf_machines::topology::HypercubeTopo;
-    use machine::{ipsc860_comm, CollectiveOp, Hypercube};
+    use machine::CollectiveOp;
 
-    /// Driving a hypercube through the generic topology walk must time
-    /// phases bit-identically to the dedicated hypercube path — the
-    /// refactor's zero-behavioral-change contract at the phase level.
-    #[test]
-    fn generic_walk_matches_hypercube_path_bit_for_bit() {
-        let comm = ipsc860_comm();
-        for dim in 1u32..=4 {
-            let cube = Hypercube { dim };
-            let nodes = cube.nodes();
-            let topo = HypercubeTopo { cube };
-            // A deliberately contended mix: ring shift plus long-haul pairs.
-            let mut ms = network::patterns::shift(nodes, 900);
-            for n in 0..nodes {
-                ms.push(Message {
-                    from: n,
-                    to: nodes - 1 - n,
-                    bytes: 64 + 100 * n as u64,
-                });
-            }
-            let dedicated = simulate_phase(cube, &comm, nodes, &ms);
-            let generic = simulate_phase_topo(&topo, &comm, nodes, &ms);
-            assert_eq!(dedicated.duration.to_bits(), generic.duration.to_bits());
-            for (a, b) in dedicated.node_done.iter().zip(&generic.node_done) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    /// A hypercube-topology machine must take the dedicated code path in
-    /// `collective_base_time` (not merely agree with it), which the
-    /// registry's iPSC backend relies on for byte-identical goldens.
+    /// The registry's iPSC backend times collectives bit-identically to
+    /// `machine::ipsc860`, which its byte-identical goldens rely on.
     #[test]
     fn registry_ipsc_collectives_match_direct_machine_bit_for_bit() {
         let direct = machine::ipsc860(8);

@@ -1,17 +1,17 @@
-//! Event-level network model of the iPSC/860 Direct-Connect hypercube:
-//! e-cube-routed messages with per-link occupancy (contention), used by the
-//! simulator to time each communication phase.
+//! Event-level network model: routed messages with per-link occupancy
+//! (contention), used by the simulator to time each communication phase.
+//! One healthy walk and one fault walk serve every interconnect; routes
+//! and link slots come from [`hpf_machines::Topology::route_into`].
 //!
 //! This is deliberately *richer* than the analytic collective model the
 //! predictor uses — contention and per-hop effects are exactly the kind of
 //! behaviour a static model abstracts away, and they are one honest source
 //! of prediction error in the reproduction.
 
-use machine::{CommComponent, FaultPlan, Hypercube, LinkState};
+use hpf_machines::Topology;
+use machine::{CommComponent, FaultPlan, LinkState};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// One message to deliver within a communication phase.
 #[derive(Debug, Clone, Copy)]
@@ -30,195 +30,23 @@ pub struct PhaseTiming {
     pub duration: f64,
 }
 
-/// Per-link occupancy end-times as a flat array: every hypercube link is
-/// between XOR-neighbors `a` and `b = a ^ (1 << d)`, so the canonical
-/// undirected link id `min(a, b) * dim + d` is dense in
-/// `0..nodes * dim` — no hashing in the per-message hot loop.
-struct LinkTable {
-    dim: usize,
-    free: Vec<f64>,
-}
-
-impl LinkTable {
-    fn new(cube: Hypercube) -> Self {
-        let dim = (cube.dim as usize).max(1);
-        LinkTable {
-            dim,
-            free: vec![0.0f64; cube.nodes() * dim],
-        }
-    }
-
-    /// Canonical undirected index of the link between XOR-neighbors.
-    #[inline]
-    fn index(dim: usize, a: usize, b: usize) -> usize {
-        let d = (a ^ b).trailing_zeros() as usize;
-        a.min(b) * dim + d
-    }
-
-    /// Reserve the link for a transmission of `wire` seconds plus the
-    /// per-hop switch cost, starting no earlier than `t`; returns the time
-    /// the transmission clears the link. The two cost terms are added to
-    /// `start` separately — the exact f64 association the original
-    /// hash-map walk used, preserving bit-identical phase timings.
-    #[inline]
-    fn occupy(&mut self, a: usize, b: usize, t: f64, wire: f64, hop: f64) -> f64 {
-        let i = Self::index(self.dim, a, b);
-        debug_assert!(
-            i < self.free.len(),
-            "link ({a},{b}) indexes {i} past table of {}",
-            self.free.len()
-        );
-        let start = t.max(self.free[i]);
-        let end = start + wire + hop;
-        self.free[i] = end;
-        end
-    }
-}
-
-/// Precomputed e-cube routes for every (from, to) pair of one hypercube —
-/// the flattened-CSR replacement for calling [`Hypercube::route_links`]
-/// (which allocates a fresh `Vec`) on every message of every phase of
-/// every simulated run.
-pub struct RouteTable {
-    nodes: usize,
-    offsets: Vec<u32>,
-    links: Vec<(u32, u32)>,
-}
-
-impl RouteTable {
-    fn build(cube: Hypercube) -> RouteTable {
-        let n = cube.nodes();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut links = Vec::new();
-        offsets.push(0u32);
-        for from in 0..n {
-            for to in 0..n {
-                for (a, b) in cube.route_links(from, to) {
-                    links.push((a as u32, b as u32));
-                }
-                offsets.push(links.len() as u32);
-            }
-        }
-        RouteTable {
-            nodes: n,
-            offsets,
-            links,
-        }
-    }
-
-    /// The e-cube route `from → to` as (from, to) link hops.
-    #[inline]
-    pub fn route(&self, from: usize, to: usize) -> &[(u32, u32)] {
-        let i = from * self.nodes + to;
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// Largest cube dimension whose route table is precomputed (64 nodes →
-/// 4096 pairs). Bigger cubes fall back to on-the-fly routing, counted as
-/// `sim.route_cache_miss`.
-pub const ROUTE_TABLE_MAX_DIM: u32 = 6;
-
-/// The shared route table for `cube`, built once per dimension for the
-/// whole process. `None` when the cube exceeds [`ROUTE_TABLE_MAX_DIM`].
-pub fn route_table(cube: Hypercube) -> Option<Arc<RouteTable>> {
-    if cube.dim > ROUTE_TABLE_MAX_DIM {
-        return None;
-    }
-    static CACHE: OnceLock<Mutex<HashMap<u32, Arc<RouteTable>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    Some(
-        guard
-            .entry(cube.dim)
-            .or_insert_with(|| Arc::new(RouteTable::build(cube)))
-            .clone(),
-    )
+/// Startup latency and wire time of one message under `comm`.
+fn message_cost(comm: &CommComponent, bytes: u64) -> (f64, f64) {
+    let startup = if bytes <= comm.short_threshold {
+        comm.short_latency_s
+    } else {
+        comm.long_latency_s
+    };
+    (startup, bytes as f64 * comm.per_byte_s)
 }
 
 /// Simulate the delivery of a set of messages injected simultaneously at
-/// phase start. Links are half-duplex channels; messages crossing the same
-/// link serialize (store-and-forward per link occupancy).
+/// phase start, routed over `topo`. Links are half-duplex channels;
+/// messages crossing the same link slot serialize (store-and-forward per
+/// link occupancy). Each traversed slot adds `wire + hop` to the
+/// occupancy start; that f64 association order is part of every golden.
 pub fn simulate_phase(
-    cube: Hypercube,
-    comm: &CommComponent,
-    nodes: usize,
-    messages: &[Message],
-) -> PhaseTiming {
-    let table = route_table(cube);
-    simulate_phase_with(cube, comm, nodes, messages, table.as_deref())
-}
-
-/// [`simulate_phase`] against a caller-held route table (the simulator
-/// resolves the table once per run set instead of once per phase).
-pub fn simulate_phase_with(
-    cube: Hypercube,
-    comm: &CommComponent,
-    nodes: usize,
-    messages: &[Message],
-    table: Option<&RouteTable>,
-) -> PhaseTiming {
-    let mut node_done = vec![0.0f64; nodes];
-    let mut links = LinkTable::new(cube);
-    let traced = hpf_trace::enabled();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-
-    // Deterministic order: messages as given (phase algorithms inject in a
-    // fixed order already).
-    for m in messages {
-        if m.from == m.to || m.from >= nodes || m.to >= nodes {
-            continue;
-        }
-        let startup = if m.bytes <= comm.short_threshold {
-            comm.short_latency_s
-        } else {
-            comm.long_latency_s
-        };
-        let wire = m.bytes as f64 * comm.per_byte_s;
-        let mut t = node_done[m.from] + startup;
-        match table {
-            Some(tab) => {
-                hits += 1;
-                for &(a, b) in tab.route(m.from, m.to) {
-                    t = links.occupy(a as usize, b as usize, t, wire, comm.per_hop_s);
-                }
-            }
-            None => {
-                misses += 1;
-                for (a, b) in cube.route_links(m.from, m.to) {
-                    t = links.occupy(a, b, t, wire, comm.per_hop_s);
-                }
-            }
-        }
-        // Sender is busy only for injection; receiver blocks until arrival.
-        node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + wire);
-        node_done[m.to] = node_done[m.to].max(t);
-    }
-    if traced {
-        if hits > 0 {
-            hpf_trace::counter_add("sim.route_cache_hit", hits);
-        }
-        if misses > 0 {
-            hpf_trace::counter_add("sim.route_cache_miss", misses);
-        }
-    }
-    let duration = node_done.iter().copied().fold(0.0, f64::max);
-    PhaseTiming {
-        node_done,
-        duration,
-    }
-}
-
-/// Generic-topology variant of [`simulate_phase`]: the same
-/// store-and-forward occupancy walk, with link slots, routes and link
-/// indices supplied by an [`hpf_machines::Topology`] instead of the
-/// hard-wired hypercube tables. Each traversed link adds `wire + hop`
-/// to the occupancy start in the same f64 association order as
-/// `LinkTable::occupy`, so a hypercube driven through this path times
-/// phases bit-identically to [`simulate_phase`].
-pub fn simulate_phase_topo(
-    topo: &dyn hpf_machines::Topology,
+    topo: &dyn Topology,
     comm: &CommComponent,
     nodes: usize,
     messages: &[Message],
@@ -226,31 +54,37 @@ pub fn simulate_phase_topo(
     let limit = nodes.min(topo.nodes());
     let mut node_done = vec![0.0f64; nodes];
     let mut free = vec![0.0f64; topo.link_slots()];
+    let mut route = Vec::new();
+    // Deterministic order: messages as given (phase algorithms inject in a
+    // fixed order already).
     for m in messages {
         if m.from == m.to || m.from >= limit || m.to >= limit {
             continue;
         }
-        let startup = if m.bytes <= comm.short_threshold {
-            comm.short_latency_s
-        } else {
-            comm.long_latency_s
-        };
-        let wire = m.bytes as f64 * comm.per_byte_s;
+        let (startup, wire) = message_cost(comm, m.bytes);
         let mut t = node_done[m.from] + startup;
-        for (a, b) in topo.route_links(m.from, m.to) {
-            let i = topo.link_index(a, b);
+        route.clear();
+        topo.route_into(m.from, m.to, &mut route);
+        for &i in &route {
             let start = t.max(free[i]);
             let end = start + wire + comm.per_hop_s;
             free[i] = end;
             t = end;
         }
+        // Sender is busy only for injection; receiver blocks until arrival.
         node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + wire);
         node_done[m.to] = node_done[m.to].max(t);
     }
-    let duration = node_done.iter().copied().fold(0.0, f64::max);
-    PhaseTiming {
-        node_done,
-        duration,
+    PhaseTiming::from_node_done(node_done)
+}
+
+impl PhaseTiming {
+    fn from_node_done(node_done: Vec<f64>) -> PhaseTiming {
+        let duration = node_done.iter().copied().fold(0.0, f64::max);
+        PhaseTiming {
+            node_done,
+            duration,
+        }
     }
 }
 
@@ -278,38 +112,64 @@ impl FaultStats {
     }
 }
 
-/// E-cube route for `m`, detouring around severed links: if the dimension-
-/// ordered route crosses a Down link, fall back to a breadth-first search
-/// over the healthy links (deterministic: dimensions explored in order, so
-/// the same shortest detour is found every time). Returns `None` when the
-/// severed links partition `from` from `to`.
-fn route_avoiding(
-    cube: Hypercube,
+/// A fault plan's link faults resolved to the occupancy slots of one
+/// topology, so the fault walk reads the same slot sequence as the
+/// healthy walk and looks each slot up here. A fault covers the slots of
+/// both directions of its undirected link (one slot on every topology
+/// except the crossbar, whose slots are receiver ports: there it covers
+/// the ports of both endpoints). A pair that is not a link of the
+/// topology is never crossed and resolves to nothing; entry points reject
+/// such plans up front with [`hpf_machines::check_link_faults`].
+#[derive(Debug, Clone, Default)]
+pub struct SlotFaults {
+    /// `(slot, state)` in plan order; the first entry for a slot wins, as
+    /// in [`FaultPlan::link_state`].
+    slots: Vec<(usize, LinkState)>,
+}
+
+impl SlotFaults {
+    pub fn resolve(plan: &FaultPlan, topo: &dyn Topology) -> SlotFaults {
+        let mut slots = Vec::new();
+        for f in &plan.link_faults {
+            if f.a >= topo.vertices() || !topo.vertex_neighbors(f.a).contains(&f.b) {
+                continue;
+            }
+            let (fwd, back) = (topo.link_index(f.a, f.b), topo.link_index(f.b, f.a));
+            slots.push((fwd, f.state));
+            if back != fwd {
+                slots.push((back, f.state));
+            }
+        }
+        SlotFaults { slots }
+    }
+
+    fn state(&self, slot: usize) -> Option<LinkState> {
+        self.slots.iter().find(|f| f.0 == slot).map(|f| f.1)
+    }
+
+    fn down(&self, slot: usize) -> bool {
+        self.state(slot) == Some(LinkState::Down)
+    }
+}
+
+/// Replace `route` (the direct route's slots) with the slots of a
+/// shortest detour from `from` to `to` that crosses no severed link:
+/// a breadth-first search over `vertex_neighbors`, explored in list order
+/// so the same detour is found every time. Returns `false`, leaving
+/// `route` untouched, when the severed links partition `from` from `to`.
+fn detour(
+    topo: &dyn Topology,
+    faults: &SlotFaults,
     from: usize,
     to: usize,
-    plan: &FaultPlan,
-    table: Option<&RouteTable>,
-) -> Option<(Vec<(usize, usize)>, bool)> {
-    let up = |a: usize, b: usize| plan.link_state(a, b) != Some(LinkState::Down);
-    let direct: Vec<(usize, usize)> = match table {
-        Some(t) => t
-            .route(from, to)
-            .iter()
-            .map(|&(a, b)| (a as usize, b as usize))
-            .collect(),
-        None => cube.route_links(from, to),
-    };
-    if direct.iter().all(|&(a, b)| up(a, b)) {
-        return Some((direct, false));
-    }
-    let n = cube.nodes();
-    let mut prev = vec![usize::MAX; n];
+    route: &mut Vec<usize>,
+) -> bool {
+    let mut prev = vec![usize::MAX; topo.vertices()];
     prev[from] = from;
     let mut queue = std::collections::VecDeque::from([from]);
     'search: while let Some(v) = queue.pop_front() {
-        for d in 0..cube.dim {
-            let w = cube.neighbor(v, d);
-            if prev[w] == usize::MAX && up(v, w) {
+        for w in topo.vertex_neighbors(v) {
+            if prev[w] == usize::MAX && !faults.down(topo.link_index(v, w)) {
                 prev[w] = v;
                 if w == to {
                     break 'search;
@@ -319,16 +179,16 @@ fn route_avoiding(
         }
     }
     if prev[to] == usize::MAX {
-        return None; // partitioned
+        return false;
     }
-    let mut links = Vec::new();
+    route.clear();
     let mut v = to;
     while v != from {
-        links.push((prev[v], v));
+        route.push(topo.link_index(prev[v], v));
         v = prev[v];
     }
-    links.reverse();
-    Some((links, true))
+    route.reverse();
+    true
 }
 
 /// Fault-injected variant of [`simulate_phase`]: each message is subject to
@@ -336,51 +196,38 @@ fn route_avoiding(
 /// [`machine::RetryPolicy`]), degraded links stretch wire time, and severed
 /// links force detour routes. Deterministic for a given `rng` state.
 pub fn simulate_phase_faulty(
-    cube: Hypercube,
+    topo: &dyn Topology,
     comm: &CommComponent,
     nodes: usize,
     messages: &[Message],
     plan: &FaultPlan,
+    faults: &SlotFaults,
     rng: &mut StdRng,
 ) -> (PhaseTiming, FaultStats) {
-    let table = route_table(cube);
-    let table = table.as_deref();
+    let limit = nodes.min(topo.nodes());
     let mut node_done = vec![0.0f64; nodes];
-    let mut links = LinkTable::new(cube);
+    let mut free = vec![0.0f64; topo.link_slots()];
+    let mut route = Vec::new();
     let mut stats = FaultStats::default();
-    let traced = hpf_trace::enabled();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
 
     for m in messages {
-        if m.from == m.to || m.from >= nodes || m.to >= nodes {
+        if m.from == m.to || m.from >= limit || m.to >= limit {
             continue;
         }
-        let startup = if m.bytes <= comm.short_threshold {
-            comm.short_latency_s
-        } else {
-            comm.long_latency_s
-        };
-        let wire = m.bytes as f64 * comm.per_byte_s;
-
-        let Some((route, detoured)) = route_avoiding(cube, m.from, m.to, plan, table) else {
-            // Partitioned: the BFS ran and found nothing — a cache miss
-            // and the sender burns its full retry budget waiting.
-            misses += 1;
-            stats.undeliverable += 1;
-            let mut waited = 0.0;
-            for k in 0..plan.retry.max_retries {
-                waited += plan.retry.timeout_s * plan.retry.backoff.powi(k as i32);
+        let (startup, wire) = message_cost(comm, m.bytes);
+        route.clear();
+        topo.route_into(m.from, m.to, &mut route);
+        if route.iter().any(|&i| faults.down(i)) {
+            if !detour(topo, faults, m.from, m.to, &mut route) {
+                // Partitioned: the sender burns its full retry budget.
+                stats.undeliverable += 1;
+                let mut waited = 0.0;
+                for k in 0..plan.retry.max_retries {
+                    waited += plan.retry.timeout_s * plan.retry.backoff.powi(k as i32);
+                }
+                node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + waited);
+                continue;
             }
-            node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + waited);
-            continue;
-        };
-        if detoured || table.is_none() {
-            misses += 1;
-        } else {
-            hits += 1;
-        }
-        if detoured {
             stats.detours += 1;
         }
 
@@ -388,12 +235,15 @@ pub fn simulate_phase_faulty(
         for attempt in 0..=plan.retry.max_retries {
             // The transmission occupies links whether or not it is lost.
             let mut t = inject + startup;
-            for &(a, b) in &route {
-                let slow = match plan.link_state(a, b) {
+            for &i in &route {
+                let slow = match faults.state(i) {
                     Some(LinkState::Degraded { factor }) => factor.max(1.0),
                     _ => 1.0,
                 };
-                t = links.occupy(a, b, t, wire * slow, comm.per_hop_s);
+                let start = t.max(free[i]);
+                let end = start + wire * slow + comm.per_hop_s;
+                free[i] = end;
+                t = end;
             }
             let lost = plan.loss_prob > 0.0
                 && attempt < plan.retry.max_retries
@@ -409,31 +259,18 @@ pub fn simulate_phase_faulty(
             break;
         }
     }
-    if traced {
-        if hits > 0 {
-            hpf_trace::counter_add("sim.route_cache_hit", hits);
-        }
-        if misses > 0 {
-            hpf_trace::counter_add("sim.route_cache_miss", misses);
-        }
-    }
-    let duration = node_done.iter().copied().fold(0.0, f64::max);
-    (
-        PhaseTiming {
-            node_done,
-            duration,
-        },
-        stats,
-    )
+    (PhaseTiming::from_node_done(node_done), stats)
 }
 
-/// Build the message list for one stage-structured collective.
+/// Build the message list for one stage-structured collective. The
+/// schedules do not depend on the interconnect: stage-structured ones run
+/// over the `dim` dimensions of a virtual hypercube, and the topology only
+/// decides how each message is routed.
 pub mod patterns {
     use super::Message;
-    use machine::Hypercube;
 
     /// Nearest-neighbor exchange in both directions between consecutive
-    /// nodes of a ring embedded in the cube (grid-dimension shift).
+    /// nodes of a ring (grid-dimension shift).
     pub fn shift(nodes: usize, bytes: u64) -> Vec<Message> {
         let mut ms = Vec::new();
         if nodes < 2 {
@@ -455,14 +292,15 @@ pub mod patterns {
         ms
     }
 
-    /// Recursive-halving reduction: log p stages of pairwise exchange.
-    /// Returns per-stage message lists (stages synchronize).
-    pub fn reduce_stages(cube: Hypercube, nodes: usize, bytes: u64) -> Vec<Vec<Message>> {
+    /// Recursive-halving reduction: `dim` stages of pairwise exchange
+    /// across one dimension each. Returns per-stage message lists (stages
+    /// synchronize); a stage with no partner inside `nodes` is empty.
+    pub fn reduce_stages(dim: u32, nodes: usize, bytes: u64) -> Vec<Vec<Message>> {
         let mut stages = Vec::new();
-        for d in 0..cube.dim {
+        for d in 0..dim {
             let mut ms = Vec::new();
             for n in 0..nodes {
-                let partner = cube.neighbor(n, d);
+                let partner = n ^ (1 << d);
                 if partner < nodes {
                     ms.push(Message {
                         from: n,
@@ -477,9 +315,9 @@ pub mod patterns {
     }
 
     /// Spanning-tree broadcast from node 0: stage d sends across dim d.
-    pub fn broadcast_stages(cube: Hypercube, nodes: usize, bytes: u64) -> Vec<Vec<Message>> {
+    pub fn broadcast_stages(dim: u32, nodes: usize, bytes: u64) -> Vec<Vec<Message>> {
         let mut stages = Vec::new();
-        for d in 0..cube.dim {
+        for d in 0..dim {
             let mut ms = Vec::new();
             for n in 0..nodes {
                 // nodes with all bits above d clear have the data
@@ -516,12 +354,13 @@ pub mod patterns {
         rounds
     }
 
-    /// Unstructured gather: every node exchanges with log p partners.
-    pub fn gather(cube: Hypercube, nodes: usize, bytes: u64) -> Vec<Message> {
+    /// Unstructured gather: every node receives from its partners across
+    /// the first `min(dim, 2)` dimensions.
+    pub fn gather(dim: u32, nodes: usize, bytes: u64) -> Vec<Message> {
         let mut ms = Vec::new();
         for n in 0..nodes {
-            for d in 0..cube.dim.min(2) {
-                let partner = cube.neighbor(n, d);
+            for d in 0..dim.min(2) {
+                let partner = n ^ (1 << d);
                 if partner < nodes {
                     ms.push(Message {
                         from: partner,
@@ -538,22 +377,23 @@ pub mod patterns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use machine::ipsc860_comm;
+    use hpf_machines::topology::HypercubeTopo;
+    use machine::{ipsc860_comm, Hypercube};
+
+    pub(super) fn cube(dim: u32) -> HypercubeTopo {
+        HypercubeTopo {
+            cube: Hypercube { dim },
+        }
+    }
+
+    fn msg(from: usize, to: usize, bytes: u64) -> Message {
+        Message { from, to, bytes }
+    }
 
     #[test]
     fn single_message_time() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
-        let t = simulate_phase(
-            cube,
-            &comm,
-            8,
-            &[Message {
-                from: 0,
-                to: 1,
-                bytes: 1024,
-            }],
-        );
+        let t = simulate_phase(&cube(3), &comm, 8, &[msg(0, 1, 1024)]);
         let expect = comm.long_latency_s + 1024.0 * comm.per_byte_s + comm.per_hop_s;
         assert!(
             (t.duration - expect).abs() < 1e-9,
@@ -565,35 +405,9 @@ mod tests {
     #[test]
     fn contention_serializes_shared_links() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 2 };
         // two messages crossing the same link 0-1
-        let t2 = simulate_phase(
-            cube,
-            &comm,
-            4,
-            &[
-                Message {
-                    from: 0,
-                    to: 1,
-                    bytes: 4096,
-                },
-                Message {
-                    from: 0,
-                    to: 1,
-                    bytes: 4096,
-                },
-            ],
-        );
-        let t1 = simulate_phase(
-            cube,
-            &comm,
-            4,
-            &[Message {
-                from: 0,
-                to: 1,
-                bytes: 4096,
-            }],
-        );
+        let t2 = simulate_phase(&cube(2), &comm, 4, &[msg(0, 1, 4096), msg(0, 1, 4096)]);
+        let t1 = simulate_phase(&cube(2), &comm, 4, &[msg(0, 1, 4096)]);
         assert!(
             t2.duration > 1.5 * t1.duration,
             "{} vs {}",
@@ -605,168 +419,17 @@ mod tests {
     #[test]
     fn disjoint_messages_overlap() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 2 };
-        let par = simulate_phase(
-            cube,
-            &comm,
-            4,
-            &[
-                Message {
-                    from: 0,
-                    to: 1,
-                    bytes: 4096,
-                },
-                Message {
-                    from: 2,
-                    to: 3,
-                    bytes: 4096,
-                },
-            ],
-        );
-        let one = simulate_phase(
-            cube,
-            &comm,
-            4,
-            &[Message {
-                from: 0,
-                to: 1,
-                bytes: 4096,
-            }],
-        );
+        let par = simulate_phase(&cube(2), &comm, 4, &[msg(0, 1, 4096), msg(2, 3, 4096)]);
+        let one = simulate_phase(&cube(2), &comm, 4, &[msg(0, 1, 4096)]);
         assert!((par.duration - one.duration).abs() < 1e-9);
     }
 
     #[test]
     fn multi_hop_costs_more() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
-        let far = simulate_phase(
-            cube,
-            &comm,
-            8,
-            &[Message {
-                from: 0,
-                to: 7,
-                bytes: 512,
-            }],
-        );
-        let near = simulate_phase(
-            cube,
-            &comm,
-            8,
-            &[Message {
-                from: 0,
-                to: 1,
-                bytes: 512,
-            }],
-        );
+        let far = simulate_phase(&cube(3), &comm, 8, &[msg(0, 7, 512)]);
+        let near = simulate_phase(&cube(3), &comm, 8, &[msg(0, 1, 512)]);
         assert!(far.duration > near.duration);
-    }
-
-    /// Serializes tests that flip the process-global trace enable flag.
-    static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn link_index_in_bounds_up_to_1024_nodes() {
-        // The flat link table's contract: for every cube up to 1024 nodes
-        // (dim 10), every XOR-neighbor pair maps inside `nodes * dim`, and
-        // distinct undirected links get distinct slots (nodes * dim / 2 of
-        // them — the other half of the table is unused headroom).
-        for dim in 1u32..=10 {
-            let cube = Hypercube { dim };
-            let nodes = cube.nodes();
-            let d = dim as usize;
-            let mut seen = std::collections::HashSet::new();
-            for a in 0..nodes {
-                for bit in 0..d {
-                    let b = a ^ (1 << bit);
-                    let i = LinkTable::index(d, a, b);
-                    assert!(i < nodes * d, "dim {dim}: link ({a},{b}) -> {i}");
-                    assert_eq!(i, LinkTable::index(d, b, a), "must be undirected");
-                    seen.insert(i);
-                }
-            }
-            assert_eq!(seen.len(), nodes * d / 2, "dim {dim}: slot collisions");
-        }
-    }
-
-    #[test]
-    fn route_table_matches_on_the_fly_routing() {
-        for dim in 1u32..=ROUTE_TABLE_MAX_DIM {
-            let cube = Hypercube { dim };
-            let tab = route_table(cube).expect("within precompute bound");
-            for from in 0..cube.nodes() {
-                for to in 0..cube.nodes() {
-                    let cached: Vec<(usize, usize)> = tab
-                        .route(from, to)
-                        .iter()
-                        .map(|&(a, b)| (a as usize, b as usize))
-                        .collect();
-                    assert_eq!(cached, cube.route_links(from, to), "dim {dim} {from}->{to}");
-                }
-            }
-        }
-        assert!(route_table(Hypercube {
-            dim: ROUTE_TABLE_MAX_DIM + 1
-        })
-        .is_none());
-    }
-
-    #[test]
-    fn healthy_phase_counts_route_cache_hits() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
-        let ms = patterns::shift(8, 256);
-
-        let _lock = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let h0 = hpf_trace::counter_get("sim.route_cache_hit");
-        let m0 = hpf_trace::counter_get("sim.route_cache_miss");
-        hpf_trace::enable();
-        simulate_phase(cube, &comm, 8, &ms);
-        hpf_trace::disable();
-        assert_eq!(
-            hpf_trace::counter_get("sim.route_cache_hit") - h0,
-            ms.len() as u64
-        );
-        assert_eq!(hpf_trace::counter_get("sim.route_cache_miss"), m0);
-    }
-
-    #[test]
-    fn severed_link_counts_route_cache_misses() {
-        use rand::SeedableRng;
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
-        let plan = FaultPlan::link_down(0, 1);
-        // 0->1 must detour (miss); 2->3 rides the table (hit).
-        let ms = [
-            Message {
-                from: 0,
-                to: 1,
-                bytes: 512,
-            },
-            Message {
-                from: 2,
-                to: 3,
-                bytes: 512,
-            },
-        ];
-
-        let _lock = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let h0 = hpf_trace::counter_get("sim.route_cache_hit");
-        let m0 = hpf_trace::counter_get("sim.route_cache_miss");
-        hpf_trace::enable();
-        let (_, stats) = simulate_phase_faulty(
-            cube,
-            &comm,
-            8,
-            &ms,
-            &plan,
-            &mut StdRng::seed_from_u64(0xFA17),
-        );
-        hpf_trace::disable();
-        assert_eq!(stats.detours, 1);
-        assert_eq!(hpf_trace::counter_get("sim.route_cache_miss") - m0, 1);
-        assert_eq!(hpf_trace::counter_get("sim.route_cache_hit") - h0, 1);
     }
 
     #[test]
@@ -779,16 +442,19 @@ mod tests {
 
     #[test]
     fn reduce_stages_cover_dims() {
-        let cube = Hypercube { dim: 3 };
-        let st = patterns::reduce_stages(cube, 8, 4);
+        let st = patterns::reduce_stages(3, 8, 4);
         assert_eq!(st.len(), 3);
         assert_eq!(st[0].len(), 8);
+        // Stages beyond the participants stay, empty: the schedule
+        // dimension, not the node count, fixes the stage count.
+        let st = patterns::reduce_stages(3, 2, 4);
+        assert_eq!(st.len(), 3);
+        assert!(st[1].is_empty() && st[2].is_empty());
     }
 
     #[test]
     fn broadcast_reaches_everyone() {
-        let cube = Hypercube { dim: 3 };
-        let st = patterns::broadcast_stages(cube, 8, 4);
+        let st = patterns::broadcast_stages(3, 8, 4);
         let mut have = [false; 8];
         have[0] = true;
         for stage in &st {
@@ -813,38 +479,33 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::cube;
     use super::*;
+    use hpf_machines::topology::{CrossbarTopo, FatTreeTopo, TorusTopo};
     use machine::ipsc860_comm;
     use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0xFA17)
+    fn msg(from: usize, to: usize, bytes: u64) -> Message {
+        Message { from, to, bytes }
+    }
+
+    /// The fault walk over `topo` with `plan` resolved against it.
+    fn faulty(
+        topo: &dyn Topology,
+        nodes: usize,
+        ms: &[Message],
+        plan: &FaultPlan,
+    ) -> (PhaseTiming, FaultStats) {
+        let slots = SlotFaults::resolve(plan, topo);
+        let mut rng = StdRng::seed_from_u64(0xFA17);
+        simulate_phase_faulty(topo, &ipsc860_comm(), nodes, ms, plan, &slots, &mut rng)
     }
 
     #[test]
     fn zero_plan_matches_healthy_path_exactly() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
-        let ms = [
-            Message {
-                from: 0,
-                to: 5,
-                bytes: 2048,
-            },
-            Message {
-                from: 1,
-                to: 6,
-                bytes: 64,
-            },
-            Message {
-                from: 3,
-                to: 3,
-                bytes: 9,
-            },
-        ];
-        let healthy = simulate_phase(cube, &comm, 8, &ms);
-        let (faulty, stats) =
-            simulate_phase_faulty(cube, &comm, 8, &ms, &FaultPlan::none(), &mut rng());
+        let ms = [msg(0, 5, 2048), msg(1, 6, 64), msg(3, 3, 9)];
+        let healthy = simulate_phase(&cube(3), &ipsc860_comm(), 8, &ms);
+        let (faulty, stats) = faulty(&cube(3), 8, &ms, &FaultPlan::none());
         assert_eq!(healthy.duration, faulty.duration);
         assert_eq!(healthy.node_done, faulty.node_done);
         assert!(!stats.any());
@@ -852,22 +513,11 @@ mod fault_tests {
 
     #[test]
     fn degraded_link_stretches_crossing_messages_only() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 2 };
         let plan = FaultPlan::degraded_link(0, 1, 4.0);
-        let crossing = [Message {
-            from: 0,
-            to: 1,
-            bytes: 4096,
-        }];
-        let avoiding = [Message {
-            from: 2,
-            to: 3,
-            bytes: 4096,
-        }];
-        let (t_cross, _) = simulate_phase_faulty(cube, &comm, 4, &crossing, &plan, &mut rng());
-        let (t_avoid, _) = simulate_phase_faulty(cube, &comm, 4, &avoiding, &plan, &mut rng());
-        let base = simulate_phase(cube, &comm, 4, &crossing);
+        let crossing = [msg(0, 1, 4096)];
+        let (t_cross, _) = faulty(&cube(2), 4, &crossing, &plan);
+        let (t_avoid, _) = faulty(&cube(2), 4, &[msg(2, 3, 4096)], &plan);
+        let base = simulate_phase(&cube(2), &ipsc860_comm(), 4, &crossing);
         assert!(
             t_cross.duration > base.duration * 1.5,
             "{} vs {}",
@@ -879,33 +529,27 @@ mod fault_tests {
 
     #[test]
     fn severed_link_detours_and_still_delivers() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
-        let plan = FaultPlan::link_down(0, 1);
-        let ms = [Message {
-            from: 0,
-            to: 1,
-            bytes: 512,
-        }];
-        let (t, stats) = simulate_phase_faulty(cube, &comm, 8, &ms, &plan, &mut rng());
+        let ms = [msg(0, 1, 512)];
+        let (t, stats) = faulty(&cube(3), 8, &ms, &FaultPlan::link_down(0, 1));
         assert_eq!(stats.detours, 1);
         assert_eq!(stats.undeliverable, 0);
         // Delivered, later than the direct single-hop send.
-        let direct = simulate_phase(cube, &comm, 8, &ms);
+        let direct = simulate_phase(&cube(3), &ipsc860_comm(), 8, &ms);
         assert!(t.node_done[1] > direct.node_done[1]);
     }
 
     #[test]
+    fn severed_link_detours_only_the_crossing_message() {
+        // 0->1 crosses the severed link and detours; 2->3 keeps its route.
+        let ms = [msg(0, 1, 512), msg(2, 3, 512)];
+        let (_, stats) = faulty(&cube(3), 8, &ms, &FaultPlan::link_down(0, 1));
+        assert_eq!(stats.detours, 1);
+    }
+
+    #[test]
     fn partition_is_reported_not_hung() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 1 }; // 2 nodes, single link
-        let plan = FaultPlan::link_down(0, 1);
-        let ms = [Message {
-            from: 0,
-            to: 1,
-            bytes: 512,
-        }];
-        let (t, stats) = simulate_phase_faulty(cube, &comm, 2, &ms, &plan, &mut rng());
+        // 2 nodes, single link
+        let (t, stats) = faulty(&cube(1), 2, &[msg(0, 1, 512)], &FaultPlan::link_down(0, 1));
         assert_eq!(stats.undeliverable, 1);
         // Receiver never completes; sender burned its retry budget.
         assert_eq!(t.node_done[1], 0.0);
@@ -914,18 +558,10 @@ mod fault_tests {
 
     #[test]
     fn loss_forces_retries_deterministically() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let plan = FaultPlan::lossy(0.4);
-        let ms: Vec<Message> = (0..8)
-            .map(|n| Message {
-                from: n,
-                to: (n + 1) % 8,
-                bytes: 256,
-            })
-            .collect();
-        let (t1, s1) = simulate_phase_faulty(cube, &comm, 8, &ms, &plan, &mut rng());
-        let (t2, s2) = simulate_phase_faulty(cube, &comm, 8, &ms, &plan, &mut rng());
+        let ms: Vec<Message> = (0..8).map(|n| msg(n, (n + 1) % 8, 256)).collect();
+        let (t1, s1) = faulty(&cube(3), 8, &ms, &plan);
+        let (t2, s2) = faulty(&cube(3), 8, &ms, &plan);
         assert!(
             s1.retries > 0,
             "p=0.4 over 8 messages should lose at least one"
@@ -933,13 +569,64 @@ mod fault_tests {
         assert_eq!(s1, s2);
         assert_eq!(t1.node_done, t2.node_done);
         // Retries only ever add time.
-        let healthy = simulate_phase(cube, &comm, 8, &ms);
+        let healthy = simulate_phase(&cube(3), &ipsc860_comm(), 8, &ms);
         assert!(t1.duration >= healthy.duration);
+    }
+
+    #[test]
+    fn torus_detours_around_a_severed_ring_link() {
+        let torus = TorusTopo { dims: vec![4, 4] };
+        let ms = [msg(0, 1, 512)];
+        let (t, stats) = faulty(&torus, 16, &ms, &FaultPlan::link_down(0, 1));
+        assert_eq!((stats.detours, stats.undeliverable), (1, 0));
+        let direct = simulate_phase(&torus, &ipsc860_comm(), 16, &ms);
+        assert!(t.node_done[1] > direct.node_done[1]);
+    }
+
+    #[test]
+    fn fat_tree_node_link_down_isolates_the_node() {
+        // Node 0 hangs off leaf switch vertex 8 by its only link.
+        let tree = FatTreeTopo { nodes: 8, radix: 4 };
+        let ms = [msg(0, 5, 512), msg(1, 5, 512)];
+        let (_, stats) = faulty(&tree, 8, &ms, &FaultPlan::link_down(0, 8));
+        assert_eq!((stats.detours, stats.undeliverable), (0, 1));
+        // A degraded leaf up-link stretches inter-leaf traffic only.
+        let slow = FaultPlan::degraded_link(8, 10, 4.0);
+        let (inter, _) = faulty(&tree, 8, &[msg(0, 5, 4096)], &slow);
+        let (intra, _) = faulty(&tree, 8, &[msg(0, 3, 4096)], &slow);
+        let comm = ipsc860_comm();
+        assert!(inter.duration > simulate_phase(&tree, &comm, 8, &[msg(0, 5, 4096)]).duration);
+        assert_eq!(
+            intra.duration,
+            simulate_phase(&tree, &comm, 8, &[msg(0, 3, 4096)]).duration
+        );
+    }
+
+    #[test]
+    fn crossbar_link_fault_covers_both_receiver_ports() {
+        let xbar = CrossbarTopo { nodes: 4 };
+        let plan = FaultPlan::degraded_link(0, 1, 4.0);
+        let comm = ipsc860_comm();
+        for ms in [[msg(2, 1, 4096)], [msg(3, 0, 4096)]] {
+            let (t, _) = faulty(&xbar, 4, &ms, &plan);
+            assert!(t.duration > simulate_phase(&xbar, &comm, 4, &ms).duration);
+        }
+        let other = [msg(0, 2, 4096)];
+        let (t, _) = faulty(&xbar, 4, &other, &plan);
+        assert_eq!(t.duration, simulate_phase(&xbar, &comm, 4, &other).duration);
+    }
+
+    #[test]
+    fn faults_on_missing_links_resolve_to_nothing() {
+        // 0-3 is not a hypercube link: no slot, no effect on any route.
+        let slots = SlotFaults::resolve(&FaultPlan::link_down(0, 3), &cube(3));
+        assert!(slots.slots.is_empty());
     }
 }
 
 #[cfg(test)]
 mod network_properties {
+    use super::tests::cube;
     use super::*;
     use machine::ipsc860_comm;
     use proptest::prelude::*;
@@ -954,25 +641,21 @@ mod network_properties {
             msgs in proptest::collection::vec((0usize..16, 0usize..16, 1u64..50_000), 1..12),
         ) {
             let comm = ipsc860_comm();
-            let cube = Hypercube { dim };
-            let nodes = cube.nodes();
+            let topo = cube(dim);
+            let nodes = topo.nodes();
             let messages: Vec<Message> = msgs
                 .iter()
                 .map(|&(f, t, b)| Message { from: f % nodes, to: t % nodes, bytes: b })
                 .collect();
-            let timing = simulate_phase(cube, &comm, nodes, &messages);
+            let timing = simulate_phase(&topo, &comm, nodes, &messages);
 
             let single = |m: &Message| -> f64 {
                 if m.from == m.to {
                     return 0.0;
                 }
-                let startup = if m.bytes <= comm.short_threshold {
-                    comm.short_latency_s
-                } else {
-                    comm.long_latency_s
-                };
-                let hops = cube.hops(m.from, m.to) as f64;
-                startup + hops * (m.bytes as f64 * comm.per_byte_s + comm.per_hop_s)
+                let (startup, wire) = message_cost(&comm, m.bytes);
+                let hops = topo.hops(m.from, m.to) as f64;
+                startup + hops * (wire + comm.per_hop_s)
             };
             let max_single = messages.iter().map(&single).fold(0.0f64, f64::max);
             let serial_sum: f64 = messages.iter().map(single).sum();
@@ -992,9 +675,8 @@ mod network_properties {
         #[test]
         fn degenerate_messages_ignored(n in 0usize..10, b in 0u64..1000) {
             let comm = ipsc860_comm();
-            let cube = Hypercube { dim: 2 };
             let t = simulate_phase(
-                cube,
+                &cube(2),
                 &comm,
                 4,
                 &[Message { from: n % 5, to: n % 5, bytes: b }],

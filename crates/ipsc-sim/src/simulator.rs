@@ -11,12 +11,15 @@
 //! constant.
 
 use crate::network::{
-    patterns, simulate_phase, simulate_phase_faulty, simulate_phase_topo, FaultStats, Message,
+    patterns, simulate_phase, simulate_phase_faulty, FaultStats, Message, SlotFaults,
 };
 use hpf_compiler::{CommPhase, CompPhase, OpCounts, SeqBlock, SpmdNode, SpmdProgram};
 use hpf_eval::ExecutionProfile;
+use hpf_machines::topology::HypercubeTopo;
 use hpf_machines::{Topology, TopologyError};
-use machine::{CollectiveOp, CommComponent, FaultPlan, Hypercube, MachineModel, OpClass};
+use machine::{
+    CollectiveOp, CommComponent, FaultPlan, Hypercube, MachineModel, OpClass, TopologyDesc,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -150,6 +153,9 @@ impl<'m> Simulator<'m> {
         // (each run re-draws only the jitter applied on top). Unused while
         // faults are active — each walk then re-simulates its phases.
         let mut comm_cache: HashMap<(u8, u64, usize), f64> = HashMap::new();
+        // The interconnect, with the plan's link faults resolved to its
+        // slots, likewise persists across walks.
+        let mut network: Option<Network> = None;
 
         // Jitter-free base pass for the breakdown.
         let mut base = Walk::new(
@@ -159,6 +165,7 @@ impl<'m> Simulator<'m> {
             None,
             faults_active.then(|| FaultSession::new(plan, 0)),
             &mut comm_cache,
+            &mut network,
         );
         let base_total = base.run(&spmd.body);
         let (comp, comm, overhead, io) = (base.comp, base.comm, base.overhead, base.io);
@@ -180,6 +187,7 @@ impl<'m> Simulator<'m> {
                 Some(jitter_rng),
                 session,
                 &mut comm_cache,
+                &mut network,
             );
             let t = w.run(&spmd.body);
             if let Some(s) = w.faults.take() {
@@ -263,6 +271,9 @@ struct Walk<'a, 'm> {
     /// make each phase instance distinct, so caching would freeze the
     /// first draw.
     comm_cache: &'a mut HashMap<(u8, u64, usize), f64>,
+    /// The interconnect comm phases route over, owned by
+    /// [`Simulator::simulate`] like `comm_cache`.
+    network: &'a mut Option<Network>,
 }
 
 impl<'a, 'm> Walk<'a, 'm> {
@@ -273,6 +284,7 @@ impl<'a, 'm> Walk<'a, 'm> {
         rng: Option<StdRng>,
         faults: Option<FaultSession<'a>>,
         comm_cache: &'a mut HashMap<(u8, u64, usize), f64>,
+        network: &'a mut Option<Network>,
     ) -> Self {
         Walk {
             sim,
@@ -286,6 +298,7 @@ impl<'a, 'm> Walk<'a, 'm> {
             io: 0.0,
             events: 0,
             comm_cache,
+            network,
         }
     }
 
@@ -450,24 +463,30 @@ impl<'a, 'm> Walk<'a, 'm> {
     }
 
     fn comm_phase(&mut self, c: &CommPhase) -> f64 {
-        let base = if self.faults.is_some() {
-            // Loss draws make each phase instance distinct — no memoization.
-            collective_base_time_with(
-                self.machine,
-                c.op,
-                c.participants,
-                c.bytes_per_node,
-                self.faults.as_mut(),
-            )
-        } else {
-            let key = (c.op as u8, c.bytes_per_node, c.participants);
-            match self.comm_cache.get(&key) {
-                Some(t) => *t,
-                None => {
-                    let t = self.comm_base(c);
-                    self.comm_cache.insert(key, t);
-                    t
+        let key = (c.op as u8, c.bytes_per_node, c.participants);
+        let base = match self.comm_cache.get(&key) {
+            Some(t) => *t,
+            None => {
+                let (machine, p) = (self.machine, c.participants);
+                if !self.network.as_ref().is_some_and(|n| n.fits(machine, p)) {
+                    let plan = self.faults.as_ref().map(|s| s.plan);
+                    *self.network = Some(Network::new(machine, p, plan));
                 }
+                let net = self.network.as_ref().expect("network built above");
+                let t = collective_time(
+                    machine,
+                    net,
+                    c.op,
+                    p,
+                    c.bytes_per_node,
+                    self.faults.as_mut(),
+                );
+                // Loss draws make each faulted phase instance distinct, so
+                // only healthy times are memoized.
+                if self.faults.is_none() {
+                    self.comm_cache.insert(key, t);
+                }
+                t
             }
         };
         // Software packing: strided boundaries pay a miss per element.
@@ -485,11 +504,6 @@ impl<'a, 'm> Walk<'a, 'm> {
         self.comm += base;
         self.overhead += pack;
         t
-    }
-
-    /// Event-simulated base duration of a communication phase.
-    fn comm_base(&self, c: &CommPhase) -> f64 {
-        collective_base_time(self.machine, c.op, c.participants, c.bytes_per_node)
     }
 
     fn io_phase(&mut self, p: &hpf_io::IoPhase) -> f64 {
@@ -511,6 +525,43 @@ impl<'a, 'm> Walk<'a, 'm> {
     }
 }
 
+/// The interconnect collectives route over, with a fault plan's link
+/// faults resolved to its occupancy slots.
+struct Network {
+    topo: Box<dyn Topology>,
+    faults: SlotFaults,
+}
+
+impl Network {
+    /// The machine's own topology, except that a hypercube grows to the
+    /// subcube spanning the participants (characterization probes may
+    /// exceed the configured machine).
+    fn new(machine: &MachineModel, participants: usize, plan: Option<&FaultPlan>) -> Network {
+        let topo: Box<dyn Topology> = match &machine.topology {
+            TopologyDesc::Hypercube => {
+                Box::new(HypercubeTopo::fitting(participants.max(machine.nodes)))
+            }
+            desc => hpf_machines::build_topology(desc, machine.nodes)
+                .expect("machine topology validated by the registry"),
+        };
+        let faults = plan
+            .map(|p| SlotFaults::resolve(p, topo.as_ref()))
+            .unwrap_or_default();
+        Network { topo, faults }
+    }
+
+    /// Whether a collective over `participants` nodes routes over this
+    /// network (only the hypercube's size depends on the participants).
+    fn fits(&self, machine: &MachineModel, participants: usize) -> bool {
+        match machine.topology {
+            TopologyDesc::Hypercube => {
+                self.topo.nodes() == Hypercube::fitting(participants.max(machine.nodes)).nodes()
+            }
+            _ => true,
+        }
+    }
+}
+
 /// Event-simulated base duration of one collective (no packing, no jitter):
 /// the benchmarking-run primitive used both by the simulator and by the
 /// characterization driver ([`calibrate`]).
@@ -523,31 +574,38 @@ pub fn collective_base_time(
     collective_base_time_with(machine, op, participants, bytes_per_node, None)
 }
 
+/// [`collective_base_time`] with fault injection: every stage runs through
+/// the fault-aware network walk and pays a recovery barrier when it had to
+/// retransmit or reroute.
+pub fn collective_base_time_with(
+    machine: &MachineModel,
+    op: CollectiveOp,
+    participants: usize,
+    bytes_per_node: u64,
+    faults: Option<&mut FaultSession<'_>>,
+) -> f64 {
+    let net = Network::new(machine, participants, faults.as_ref().map(|s| s.plan));
+    collective_time(machine, &net, op, participants, bytes_per_node, faults)
+}
+
 /// One collective stage under an optional fault session. When a stage sees
 /// any fault event (retransmission, detour, undeliverable message), the
 /// collective's participants re-synchronize before the next stage — the
 /// stage-level recovery barrier — charged at the comm component's
 /// synchronization overhead.
 fn stage_time(
-    cube: Hypercube,
+    net: &Network,
     comm: &CommComponent,
     nodes: usize,
     ms: &[Message],
     faults: &mut Option<&mut FaultSession<'_>>,
-    topo: Option<&dyn Topology>,
 ) -> f64 {
-    if let Some(topo) = topo {
-        // Non-hypercube machine: the generic occupancy walk. Network-level
-        // fault injection (loss draws, detour routing) is hypercube-only;
-        // degraded operation of other backends is modeled analytically via
-        // `MachineModel::degrade` upstream, so the fault session is not
-        // consumed here.
-        return simulate_phase_topo(topo, comm, nodes, ms).duration;
-    }
+    let topo = net.topo.as_ref();
     match faults {
-        None => simulate_phase(cube, comm, nodes, ms).duration,
+        None => simulate_phase(topo, comm, nodes, ms).duration,
         Some(s) => {
-            let (timing, st) = simulate_phase_faulty(cube, comm, nodes, ms, s.plan, &mut s.rng);
+            let (timing, st) =
+                simulate_phase_faulty(topo, comm, nodes, ms, s.plan, &net.faults, &mut s.rng);
             let recovery = if s.plan.needs_recovery() && st.any() {
                 comm.sync_overhead_s
             } else {
@@ -559,38 +617,28 @@ fn stage_time(
     }
 }
 
-/// [`collective_base_time`] with fault injection: every stage runs through
-/// the fault-aware network walk and pays a recovery barrier when it had to
-/// retransmit or reroute.
-pub fn collective_base_time_with(
+/// A collective's stages timed over `net`. The schedules are built over a
+/// virtual hypercube spanning the participants and the machine — the
+/// same stage count on every topology, since Reduce charges a combine per
+/// stage, empty or not; only per-message routing differs.
+fn collective_time(
     machine: &MachineModel,
+    net: &Network,
     op: CollectiveOp,
     participants: usize,
     bytes_per_node: u64,
     mut faults: Option<&mut FaultSession<'_>>,
 ) -> f64 {
     let nodes = participants.max(1);
-    // The collective runs on the subcube spanning its participants (which
-    // may exceed the configured machine during characterization probes).
-    // Collective *schedules* are always built over this virtual hypercube;
-    // only per-message routing differs between physical topologies.
-    let cube = machine::Hypercube::fitting(nodes.max(machine.nodes));
-    let comm = &machine.comm;
     if nodes <= 1 {
         return 0.0;
     }
-    let topo: Option<Box<dyn Topology>> = match &machine.topology {
-        machine::TopologyDesc::Hypercube => None,
-        desc => Some(
-            hpf_machines::build_topology(desc, machine.nodes)
-                .expect("machine topology validated by the registry"),
-        ),
-    };
-    let topo = topo.as_deref();
+    let dim = Hypercube::fitting(nodes.max(machine.nodes)).dim;
+    let comm = &machine.comm;
     match op {
         CollectiveOp::Shift => {
             let ms = patterns::shift(nodes, bytes_per_node);
-            stage_time(cube, comm, nodes, &ms, &mut faults, topo)
+            stage_time(net, comm, nodes, &ms, &mut faults)
         }
         CollectiveOp::Reduce | CollectiveOp::ReduceLoc | CollectiveOp::Barrier => {
             let bytes = match op {
@@ -599,16 +647,16 @@ pub fn collective_base_time_with(
                 _ => bytes_per_node,
             };
             let mut t = 0.0;
-            for stage in patterns::reduce_stages(cube, nodes, bytes.max(4)) {
-                t += stage_time(cube, comm, nodes, &stage, &mut faults, topo);
+            for stage in patterns::reduce_stages(dim, nodes, bytes.max(4)) {
+                t += stage_time(net, comm, nodes, &stage, &mut faults);
                 t += machine.node_processing.op_time(OpClass::FAdd) * (bytes as f64 / 4.0).max(1.0);
             }
             t
         }
         CollectiveOp::Broadcast => {
             let mut t = 0.0;
-            for stage in patterns::broadcast_stages(cube, nodes, bytes_per_node) {
-                t += stage_time(cube, comm, nodes, &stage, &mut faults, topo);
+            for stage in patterns::broadcast_stages(dim, nodes, bytes_per_node) {
+                t += stage_time(net, comm, nodes, &stage, &mut faults);
             }
             t
         }
@@ -616,13 +664,13 @@ pub fn collective_base_time_with(
             let per_pair = (bytes_per_node / nodes as u64).max(4);
             let mut t = 0.0;
             for round in patterns::all_to_all_rounds(nodes, per_pair) {
-                t += stage_time(cube, comm, nodes, &round, &mut faults, topo);
+                t += stage_time(net, comm, nodes, &round, &mut faults);
             }
             t
         }
         CollectiveOp::Gather | CollectiveOp::Scatter => {
-            let ms = patterns::gather(cube, nodes, bytes_per_node);
-            stage_time(cube, comm, nodes, &ms, &mut faults, topo)
+            let ms = patterns::gather(dim, nodes, bytes_per_node);
+            stage_time(net, comm, nodes, &ms, &mut faults)
         }
     }
 }

@@ -2,7 +2,7 @@
 //! machine.
 //!
 //! A [`FaultPlan`] describes *what is wrong* with the machine — slowed
-//! nodes, degraded or severed hypercube links, a message-loss probability —
+//! nodes, degraded or severed interconnect links, a message-loss probability —
 //! together with the NX-layer [`RetryPolicy`] that recovers from transient
 //! loss. The same plan is consumed from both sides of the paper's
 //! methodology:
@@ -23,7 +23,7 @@
 use crate::MachineModel;
 use serde::{Deserialize, Serialize};
 
-/// Health of one hypercube link.
+/// Health of one interconnect link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LinkState {
     /// Link operates at `1/factor` of its healthy bandwidth (`factor > 1`).

@@ -4,11 +4,17 @@
 //! abstraction; the measured side injects the same plan into the
 //! discrete-event network simulation. Deterministic for a fixed seed.
 //!
-//! Usage: `faults [--kernel NAME] [--size N] [--procs P] [--runs R]`
+//! Usage: `faults [--kernel NAME] [--size N] [--procs P] [--runs R] [--machine NAME]`
+//!
+//! On a non-default machine the degraded and severed links are node 0's
+//! own links on that machine's interconnect.
 
-use hpf_report::faults::{fault_experiment, fault_table_text, FaultExperimentConfig};
+use hpf_report::faults::{
+    default_plans_for, fault_experiment, fault_table_text, FaultExperimentConfig,
+};
 
-const USAGE: &str = "usage: faults [--kernel NAME] [--size N] [--procs P] [--runs R]";
+const USAGE: &str =
+    "usage: faults [--kernel NAME] [--size N] [--procs P] [--runs R] [--machine NAME]";
 
 fn usage_err(msg: &str) -> ! {
     eprintln!("faults: {msg}\n{USAGE}");
@@ -34,11 +40,19 @@ fn main() {
             "--size" => cfg.size = number(flag, &value(&mut it)),
             "--procs" => cfg.procs = number(flag, &value(&mut it)),
             "--runs" => cfg.runs = number(flag, &value(&mut it)),
+            "--machine" => cfg.machine = value(&mut it),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
             }
             other => usage_err(&format!("unknown option {other:?}")),
+        }
+    }
+
+    if cfg.machine != hpf_machines::DEFAULT_MACHINE {
+        match hpf_machines::machine(&cfg.machine).and_then(|b| b.topology(cfg.procs)) {
+            Ok(topo) => cfg.plans = default_plans_for(topo.as_ref()),
+            Err(e) => usage_err(&e.to_string()),
         }
     }
 

@@ -9,7 +9,9 @@
 //! once from the discrete-event simulator's — so checkpoint-interval policy
 //! can be evaluated in the same predicted-vs-simulated frame as Table 2.
 
-use crate::pipeline::{calibrated_machine, compile_source, PipelineError, PipelineStage};
+use crate::pipeline::{
+    calibrated_machine, check_fault_plan, compile_source, PipelineError, PipelineStage,
+};
 use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
 use hpf_io::{CheckpointSchedule, IoKind, IoPhase};
@@ -110,6 +112,8 @@ pub fn checkpoint_experiment(
             format!("unknown kernel {:?}", cfg.kernel),
         )
     })?;
+    let raw = ipsc860(cfg.procs);
+    check_fault_plan(&raw, &cfg.plan)?;
     let src = kernel.source(cfg.size, cfg.procs);
     let (analyzed, spmd) = compile_source(
         &src,
@@ -153,7 +157,6 @@ pub fn checkpoint_experiment(
     };
 
     // Simulated frame: the DES, healthy and with the plan injected.
-    let raw = ipsc860(cfg.procs);
     let sim = Simulator::with_config(
         &raw,
         SimConfig {
@@ -304,6 +307,18 @@ mod tests {
             assert!(r.predicted_total_s > r.predicted_healthy_s);
             assert!(r.simulated_total_s > r.simulated_healthy_s);
         }
+    }
+
+    #[test]
+    fn plan_on_a_missing_link_is_rejected() {
+        // 0-3 is two hops apart on the hypercube: not a link.
+        let cfg = CheckpointExperimentConfig {
+            plan: FaultPlan::link_down(0, 3),
+            ..quick_cfg()
+        };
+        let err = checkpoint_experiment(&cfg).unwrap_err();
+        assert_eq!(err.stage, PipelineStage::Machine);
+        assert!(err.to_string().contains("0-3"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The fault-injection experiment behind `report --bin faults`: how well
 //! does the *degraded-mode* interpretation engine predict execution time
-//! when the simulated iPSC/860 is running with injected faults?
+//! when the simulated machine (the iPSC/860 by default, or any registered
+//! backend) is running with injected faults?
 //!
 //! For each [`FaultPlan`] the experiment produces one row comparing
 //!
@@ -14,12 +15,16 @@
 //! reproduces the healthy numbers bit-for-bit — the control that anchors
 //! every degraded row.
 
-use crate::pipeline::{calibrated_machine, compile_source, PipelineError, PredictOptions};
+use crate::pipeline::{
+    calibrated_machine_for, check_fault_plan, compile_source, machine_params, PipelineError,
+    PredictOptions,
+};
 use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
+use hpf_machines::Topology;
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::Kernel;
-use machine::{ipsc860, FaultPlan};
+use machine::FaultPlan;
 use serde::Serialize;
 
 /// One (fault plan) row of the predicted-vs-simulated comparison.
@@ -43,10 +48,13 @@ pub struct FaultExperimentConfig {
     pub kernel: String,
     pub size: usize,
     pub procs: usize,
+    /// Registered machine backend to predict for and simulate on.
+    pub machine: String,
     /// Simulated runs per measurement.
     pub runs: usize,
     /// Step budget for the functional-interpreter profile.
     pub profile_steps: u64,
+    /// Every link fault must name a link of the machine's interconnect.
     pub plans: Vec<FaultPlan>,
 }
 
@@ -56,6 +64,7 @@ impl Default for FaultExperimentConfig {
             kernel: "Laplace (Blk-X)".into(),
             size: 256,
             procs: 8,
+            machine: hpf_machines::DEFAULT_MACHINE.to_string(),
             runs: 200,
             profile_steps: 5_000_000,
             plans: default_plans(),
@@ -75,11 +84,32 @@ pub fn default_plans() -> Vec<FaultPlan> {
     ]
 }
 
+/// [`default_plans`] on any interconnect: the degraded and the severed
+/// link are node 0's first and second links (its only link when it has
+/// one). On the hypercube those are 0-1 and 0-2, the standard set.
+pub fn default_plans_for(topo: &dyn Topology) -> Vec<FaultPlan> {
+    let links = topo.vertex_neighbors(0);
+    let mut plans = vec![FaultPlan::none()];
+    if let Some(&first) = links.first() {
+        let second = links.get(1).copied().unwrap_or(first);
+        plans.push(FaultPlan::degraded_link(0, first, 4.0));
+        plans.push(FaultPlan::link_down(0, second));
+    }
+    plans.push(FaultPlan::slow_node(1, 2.0));
+    plans.push(FaultPlan::lossy(0.05));
+    plans
+}
+
 /// Run the campaign: one row per plan. The program is compiled and profiled
 /// once; each plan then gets its own degraded prediction and its own
 /// fault-injected simulation (deterministic for the fixed `SimConfig` seed
-/// and the plan's own fault seed).
+/// and the plan's own fault seed). A plan naming a link the machine does
+/// not have rejects the whole campaign with a machine-stage error.
 pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, PipelineError> {
+    let healthy_machine = machine_params(&cfg.machine, cfg.procs)?;
+    for plan in &cfg.plans {
+        check_fault_plan(&healthy_machine, plan)?;
+    }
     let kernel: Kernel = kernels::kernel_by_name(&cfg.kernel).ok_or_else(|| {
         PipelineError::new(
             crate::pipeline::PipelineStage::Sweep,
@@ -100,8 +130,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
     let (profile, _) = shared_profile(&src, cfg.size, cfg.profile_steps, &analyzed);
     let aag = appgraph::build_aag(&spmd);
 
-    let healthy_calibrated = calibrated_machine(cfg.procs);
-    let healthy_machine = ipsc860(cfg.procs);
+    let healthy_calibrated = calibrated_machine_for(&cfg.machine, cfg.procs)?;
     let popts = PredictOptions::with_nodes(cfg.procs);
 
     let mut rows = Vec::new();
@@ -162,6 +191,9 @@ pub fn fault_table_text(cfg: &FaultExperimentConfig, rows: &[FaultRow]) -> Strin
         "({} n={} p={}, {} simulated runs per plan)\n",
         cfg.kernel, cfg.size, cfg.procs, cfg.runs
     ));
+    if cfg.machine != hpf_machines::DEFAULT_MACHINE {
+        out.push_str(&format!("(machine: {})\n", cfg.machine));
+    }
     out
 }
 
@@ -178,6 +210,7 @@ mod tests {
             runs: 50,
             profile_steps: 5_000_000,
             plans: default_plans(),
+            ..Default::default()
         }
     }
 
@@ -250,5 +283,47 @@ mod tests {
             .find(|r| r.plan.starts_with("link-down"))
             .unwrap();
         assert!(severed.detours > 0, "severed link should record detours");
+    }
+
+    #[test]
+    fn default_plans_for_the_hypercube_are_the_standard_set() {
+        let cube = hpf_machines::build_topology(&machine::TopologyDesc::Hypercube, 8).unwrap();
+        assert_eq!(default_plans_for(cube.as_ref()), default_plans());
+    }
+
+    #[test]
+    fn campaigns_on_every_backend_report_fault_events() {
+        for name in ["torus3d", "fattree", "multicore"] {
+            let topo = hpf_machines::machine(name).unwrap().topology(4).unwrap();
+            let cfg = FaultExperimentConfig {
+                machine: name.into(),
+                plans: default_plans_for(topo.as_ref()),
+                ..quick_cfg()
+            };
+            let rows = fault_experiment(&cfg).unwrap();
+            let events = |prefix: &str| {
+                let r = rows.iter().find(|r| r.plan.starts_with(prefix)).unwrap();
+                r.retries + r.detours + r.undeliverable
+            };
+            assert!(events("lossy") > 0, "{name}: loss left no trace");
+            assert!(
+                events("link-down") > 0,
+                "{name}: severed link left no trace"
+            );
+            assert_eq!(events("none"), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn plan_on_a_missing_link_is_rejected() {
+        // Fat-tree nodes reach each other only through switches.
+        let cfg = FaultExperimentConfig {
+            machine: "fattree".into(),
+            plans: vec![FaultPlan::none(), FaultPlan::link_down(0, 1)],
+            ..quick_cfg()
+        };
+        let err = fault_experiment(&cfg).unwrap_err();
+        assert_eq!(err.stage, crate::pipeline::PipelineStage::Machine);
+        assert!(err.to_string().contains("0-1"), "{err}");
     }
 }
