@@ -51,6 +51,11 @@ pub trait Topology: Send + Sync {
     /// Vertices adjacent to vertex `v` (switch vertices included).
     fn vertex_neighbors(&self, v: usize) -> Vec<usize>;
 
+    /// Whether `a` and `b` are vertices joined by a link.
+    fn is_link(&self, a: usize, b: usize) -> bool {
+        a < self.vertices() && b < self.vertices() && self.vertex_neighbors(a).contains(&b)
+    }
+
     /// Hop count of the `a -> b` route.
     fn hops(&self, a: usize, b: usize) -> usize {
         self.route_links(a, b).len()
@@ -65,10 +70,7 @@ pub trait Topology: Send + Sync {
 /// a message, so the plan is rejected instead of silently doing nothing.
 pub fn check_link_faults(topo: &dyn Topology, plan: &FaultPlan) -> Result<(), TopologyError> {
     for f in &plan.link_faults {
-        let adjacent = f.a < topo.vertices()
-            && f.b < topo.vertices()
-            && topo.vertex_neighbors(f.a).contains(&f.b);
-        if !adjacent {
+        if !topo.is_link(f.a, f.b) {
             return Err(TopologyError::NoSuchLink {
                 topology: topo.kind(),
                 a: f.a,

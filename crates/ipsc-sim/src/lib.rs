@@ -16,9 +16,8 @@ pub use network::{
     simulate_phase, simulate_phase_faulty, FaultStats, Message, PhaseTiming, SlotFaults,
 };
 pub use simulator::{
-    calibrate, calibrate_backend, calibrate_params, collective_base_time,
-    collective_base_time_with, io_base_time, sim_ops_time, FaultSession, SimConfig, SimResult,
-    Simulator,
+    calibrate, calibrate_backend, calibrate_params, collective_base_time, io_base_time,
+    sim_ops_time, SimConfig, SimResult, Simulator,
 };
 pub use trace::{trace_program, Activity, SimTrace, TraceEvent};
 

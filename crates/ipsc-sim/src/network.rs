@@ -131,7 +131,7 @@ impl SlotFaults {
     pub fn resolve(plan: &FaultPlan, topo: &dyn Topology) -> SlotFaults {
         let mut slots = Vec::new();
         for f in &plan.link_faults {
-            if f.a >= topo.vertices() || !topo.vertex_neighbors(f.a).contains(&f.b) {
+            if !topo.is_link(f.a, f.b) {
                 continue;
             }
             let (fwd, back) = (topo.link_index(f.a, f.b), topo.link_index(f.b, f.a));
@@ -386,7 +386,7 @@ mod tests {
         }
     }
 
-    fn msg(from: usize, to: usize, bytes: u64) -> Message {
+    pub(super) fn msg(from: usize, to: usize, bytes: u64) -> Message {
         Message { from, to, bytes }
     }
 
@@ -479,15 +479,11 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
-    use super::tests::cube;
+    use super::tests::{cube, msg};
     use super::*;
     use hpf_machines::topology::{CrossbarTopo, FatTreeTopo, TorusTopo};
     use machine::ipsc860_comm;
     use rand::SeedableRng;
-
-    fn msg(from: usize, to: usize, bytes: u64) -> Message {
-        Message { from, to, bytes }
-    }
 
     /// The fault walk over `topo` with `plan` resolved against it.
     fn faulty(
@@ -503,12 +499,22 @@ mod fault_tests {
 
     #[test]
     fn zero_plan_matches_healthy_path_exactly() {
-        let ms = [msg(0, 5, 2048), msg(1, 6, 64), msg(3, 3, 9)];
-        let healthy = simulate_phase(&cube(3), &ipsc860_comm(), 8, &ms);
-        let (faulty, stats) = faulty(&cube(3), 8, &ms, &FaultPlan::none());
-        assert_eq!(healthy.duration, faulty.duration);
-        assert_eq!(healthy.node_done, faulty.node_done);
-        assert!(!stats.any());
+        let ms = [msg(0, 5, 2048), msg(1, 6, 64), msg(3, 3, 9), msg(7, 2, 700)];
+        let topos: [&dyn Topology; 4] = [
+            &cube(3),
+            &TorusTopo {
+                dims: vec![2, 2, 2],
+            },
+            &FatTreeTopo { nodes: 8, radix: 4 },
+            &CrossbarTopo { nodes: 8 },
+        ];
+        for topo in topos {
+            let healthy = simulate_phase(topo, &ipsc860_comm(), 8, &ms);
+            let (faulty, stats) = faulty(topo, 8, &ms, &FaultPlan::none());
+            assert_eq!(healthy.node_done, faulty.node_done, "{}", topo.kind());
+            assert_eq!(healthy.duration, faulty.duration);
+            assert!(!stats.any());
+        }
     }
 
     #[test]

@@ -231,16 +231,16 @@ impl<'m> Simulator<'m> {
 /// Fault-injection state for one walk: the plan, a dedicated RNG stream for
 /// loss draws (never shared with the jitter stream), and the accumulated
 /// event counts.
-pub struct FaultSession<'p> {
-    pub plan: &'p FaultPlan,
-    pub rng: StdRng,
-    pub stats: FaultStats,
+struct FaultSession<'p> {
+    plan: &'p FaultPlan,
+    rng: StdRng,
+    stats: FaultStats,
 }
 
 impl<'p> FaultSession<'p> {
     /// `stream` distinguishes walks (base pass, run 0, run 1, …) so each
     /// replays the same faults for a given (plan.seed, stream) pair.
-    pub fn new(plan: &'p FaultPlan, stream: u64) -> Self {
+    fn new(plan: &'p FaultPlan, stream: u64) -> Self {
         FaultSession {
             plan,
             rng: StdRng::seed_from_u64(plan.seed ^ stream),
@@ -571,21 +571,8 @@ pub fn collective_base_time(
     participants: usize,
     bytes_per_node: u64,
 ) -> f64 {
-    collective_base_time_with(machine, op, participants, bytes_per_node, None)
-}
-
-/// [`collective_base_time`] with fault injection: every stage runs through
-/// the fault-aware network walk and pays a recovery barrier when it had to
-/// retransmit or reroute.
-pub fn collective_base_time_with(
-    machine: &MachineModel,
-    op: CollectiveOp,
-    participants: usize,
-    bytes_per_node: u64,
-    faults: Option<&mut FaultSession<'_>>,
-) -> f64 {
-    let net = Network::new(machine, participants, faults.as_ref().map(|s| s.plan));
-    collective_time(machine, &net, op, participants, bytes_per_node, faults)
+    let net = Network::new(machine, participants, None);
+    collective_time(machine, &net, op, participants, bytes_per_node, None)
 }
 
 /// One collective stage under an optional fault session. When a stage sees
@@ -617,7 +604,9 @@ fn stage_time(
     }
 }
 
-/// A collective's stages timed over `net`. The schedules are built over a
+/// A collective's stages timed over `net`; under a fault session every
+/// stage runs through the fault walk and pays a recovery barrier when it
+/// had to retransmit or reroute. The schedules are built over a
 /// virtual hypercube spanning the participants and the machine — the
 /// same stage count on every topology, since Reduce charges a combine per
 /// stage, empty or not; only per-message routing differs.

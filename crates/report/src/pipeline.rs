@@ -480,6 +480,19 @@ END
     }
 
     #[test]
+    fn fault_on_a_missing_link_fails_at_the_machine_stage() {
+        // Fat-tree nodes 0 and 1 are joined only through their leaf switch.
+        let mut opts = SimulateOptions::with_nodes(4);
+        opts.machine = "fattree".into();
+        opts.sim.faults = machine::FaultPlan::link_down(0, 1);
+        let err = simulate_source(PI_SRC, &opts).expect_err("no such link");
+        assert_eq!(err.stage, PipelineStage::Machine);
+        // The same fault on node 0's own link is applied.
+        opts.sim.faults = machine::FaultPlan::link_down(0, 4);
+        assert!(simulate_source(PI_SRC, &opts).unwrap().fault_stats.any());
+    }
+
+    #[test]
     fn default_machine_paths_are_the_historical_functions_verbatim() {
         let via_registry = calibrated_machine_for(hpf_machines::DEFAULT_MACHINE, 8).unwrap();
         let direct = calibrated_machine(8);
