@@ -124,6 +124,11 @@ struct Shared {
 impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Pass through the queue lock before notifying: a worker that read
+        // the flag as unset under that lock is then already parked in
+        // `ready.wait` and gets the wakeup, instead of missing it and
+        // waiting forever (the drain would never finish).
+        drop(lock(&self.queue));
         // Wake idle workers and the supervisor so they can observe the
         // flag and exit.
         self.ready.notify_all();
