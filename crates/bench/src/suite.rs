@@ -10,7 +10,7 @@ use hpf_serve::cache::CacheConfig;
 use hpf_serve::http::Request;
 use report::checkpoint::{checkpoint_experiment, CheckpointExperimentConfig};
 use report::experiments::{table2, SweepConfig};
-use report::faults::{default_plans, fault_experiment, FaultExperimentConfig};
+use report::faults::{fault_experiment, FaultExperimentConfig};
 use report::pipeline::run_profile;
 use report::sweep::SweepSession;
 use report::{compile_source, predict_source, simulate_source, PredictOptions, SimulateOptions};
@@ -228,11 +228,10 @@ fn faults_case(size: usize, procs: usize, runs: usize) -> BenchCase {
                 procs,
                 runs,
                 profile_steps: 2_000_000,
-                plans: default_plans(),
                 ..Default::default()
             };
             let rows = fault_experiment(&cfg).expect("fault experiment runs");
-            assert_eq!(rows.len(), default_plans().len());
+            assert_eq!(rows.len(), 5);
         }),
     }
 }

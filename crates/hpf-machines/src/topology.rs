@@ -4,9 +4,10 @@
 //! model asks: *how many link-occupancy slots are there* ([`Topology::link_slots`]),
 //! *which slot does a traversed link occupy* ([`Topology::link_index`]),
 //! and *which links does a message cross* ([`Topology::route_links`]).
-//! The DES hot loop asks the last two at once through
-//! [`Topology::route_into`], which appends a route's slots without
-//! allocating.
+//! The DES asks without allocating: its healthy walk takes a route's
+//! slots from [`Topology::route_into`], its fault walk takes the route's
+//! links from [`Topology::route_links_into`] (faults name links), and
+//! `link_index` needs no scratch memory either.
 //! Routes may pass through **switch vertices** — vertex ids `>=
 //! nodes()` (the fat tree's leaf and root switches); compute nodes are
 //! always vertices `0..nodes()`.
@@ -41,7 +42,15 @@ pub trait Topology: Send + Sync {
 
     /// The links a message from node `a` to node `b` traverses, in
     /// order, as `(from, to)` vertex pairs. Empty when `a == b`.
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)>;
+    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
+        let mut links = Vec::new();
+        self.route_links_into(a, b, &mut links);
+        links
+    }
+
+    /// Append the links of the `a -> b` route to `out`, as
+    /// [`Topology::route_links`] lists them, without allocating.
+    fn route_links_into(&self, a: usize, b: usize, out: &mut Vec<(usize, usize)>);
 
     /// Append the occupancy slots of the `a -> b` route to `out`, in
     /// traversal order: exactly `route_links(a, b)` mapped through
@@ -180,11 +189,18 @@ impl Topology for HypercubeTopo {
         a.min(b) * (self.cube.dim as usize).max(1) + (a ^ b).trailing_zeros() as usize
     }
 
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        self.cube.route_links(a, b)
+    /// E-cube order: the set bits of `a ^ b`, lowest first.
+    fn route_links_into(&self, a: usize, b: usize, out: &mut Vec<(usize, usize)>) {
+        let mut cur = a;
+        let mut diff = a ^ b;
+        while diff != 0 {
+            let next = cur ^ (1 << diff.trailing_zeros());
+            out.push((cur, next));
+            cur = next;
+            diff &= diff - 1;
+        }
     }
 
-    /// E-cube order: the set bits of `a ^ b`, lowest first.
     fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
         let dim = (self.cube.dim as usize).max(1);
         let mut cur = a;
@@ -222,30 +238,13 @@ pub struct TorusTopo {
 }
 
 impl TorusTopo {
-    fn coords(&self, mut v: usize) -> Vec<usize> {
-        self.dims
-            .iter()
-            .map(|&e| {
-                let c = v % e;
-                v /= e;
-                c
-            })
-            .collect()
-    }
-
-    fn vertex(&self, coords: &[usize]) -> usize {
-        let mut v = 0;
-        for (d, &c) in coords.iter().enumerate().rev() {
-            v = v * self.dims[d] + c;
-        }
-        v
-    }
-
-    /// The `+1` neighbor of `v` along dimension `d` (with wraparound).
-    fn plus(&self, v: usize, d: usize) -> usize {
-        let mut c = self.coords(v);
-        c[d] = (c[d] + 1) % self.dims[d];
-        self.vertex(&c)
+    /// The neighbor of `v` one step along dimension `d` (with
+    /// wraparound): `+1` when `up`, else `-1`.
+    fn step(&self, v: usize, d: usize, up: bool) -> usize {
+        let (e, stride) = (self.dims[d], self.dims[..d].iter().product::<usize>());
+        let c = v / stride % e;
+        let next = if up { (c + 1) % e } else { (c + e - 1) % e };
+        v - c * stride + next * stride
     }
 
     /// Canonical occupancy slot of the link between adjacent `u`, `w`
@@ -255,7 +254,7 @@ impl TorusTopo {
     fn link_of(&self, u: usize, w: usize, d: usize) -> usize {
         let owner = if self.dims[d] == 2 {
             u.min(w)
-        } else if self.plus(u, d) == w {
+        } else if self.step(u, d, true) == w {
             u
         } else {
             w
@@ -282,36 +281,41 @@ impl Topology for TorusTopo {
     }
 
     fn link_index(&self, a: usize, b: usize) -> usize {
-        let (ca, cb) = (self.coords(a), self.coords(b));
-        let d = (0..self.dims.len())
-            .find(|&d| ca[d] != cb[d])
-            .expect("link_index of identical vertices");
-        self.link_of(a, b, d)
-    }
-
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        let mut links = Vec::new();
-        let mut cur = self.coords(a);
-        let target = self.coords(b);
-        for d in 0..self.dims.len() {
-            let e = self.dims[d];
-            while cur[d] != target[d] {
-                let fwd = (target[d] + e - cur[d]) % e;
-                let from = self.vertex(&cur);
-                // Shorter wrap direction; ties go +1.
-                cur[d] = if fwd <= e - fwd {
-                    (cur[d] + 1) % e
-                } else {
-                    (cur[d] + e - 1) % e
-                };
-                links.push((from, self.vertex(&cur)));
+        let mut stride = 1;
+        for (d, &e) in self.dims.iter().enumerate() {
+            if a / stride % e != b / stride % e {
+                return self.link_of(a, b, d);
             }
+            stride *= e;
         }
-        links
+        panic!("link_index of identical vertices")
     }
 
-    /// Dimension-ordered like [`Topology::route_links`], but each axis is
-    /// walked as a coordinate and a stride instead of a coordinate vector.
+    /// Dimension-ordered: each axis, walked as a coordinate and a stride,
+    /// is resolved in turn in its shorter wrap direction (ties go +1).
+    fn route_links_into(&self, a: usize, b: usize, out: &mut Vec<(usize, usize)>) {
+        let mut cur = a;
+        let mut stride = 1;
+        for &e in &self.dims {
+            let mut c = cur / stride % e;
+            let target = b / stride % e;
+            while c != target {
+                let fwd = (target + e - c) % e;
+                let next_c = if fwd <= e - fwd {
+                    (c + 1) % e
+                } else {
+                    (c + e - 1) % e
+                };
+                let next = cur - c * stride + next_c * stride;
+                out.push((cur, next));
+                cur = next;
+                c = next_c;
+            }
+            stride *= e;
+        }
+    }
+
+    /// [`Topology::route_links_into`] with each link keyed by its slot.
     fn route_into(&self, a: usize, b: usize, out: &mut Vec<usize>) {
         let ndims = self.dims.len();
         let mut cur = a;
@@ -351,12 +355,7 @@ impl Topology for TorusTopo {
             if self.dims[d] < 2 {
                 continue;
             }
-            let c = self.coords(v);
-            let mut up = c.clone();
-            up[d] = (up[d] + 1) % self.dims[d];
-            let mut down = c;
-            down[d] = (down[d] + self.dims[d] - 1) % self.dims[d];
-            let (up, down) = (self.vertex(&up), self.vertex(&down));
+            let (up, down) = (self.step(v, d, true), self.step(v, d, false));
             out.push(up);
             if down != up {
                 out.push(down);
@@ -427,16 +426,16 @@ impl Topology for FatTreeTopo {
         }
     }
 
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
+    fn route_links_into(&self, a: usize, b: usize, out: &mut Vec<(usize, usize)>) {
         if a == b {
-            return Vec::new();
+            return;
         }
         let (la, lb) = (self.leaf_of(a), self.leaf_of(b));
         if la == lb {
-            vec![(a, la), (la, b)]
+            out.extend([(a, la), (la, b)]);
         } else {
             let root = self.root();
-            vec![(a, la), (la, root), (root, lb), (lb, b)]
+            out.extend([(a, la), (la, root), (root, lb), (lb, b)]);
         }
     }
 
@@ -504,11 +503,9 @@ impl Topology for CrossbarTopo {
         b
     }
 
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        if a == b {
-            Vec::new()
-        } else {
-            vec![(a, b)]
+    fn route_links_into(&self, a: usize, b: usize, out: &mut Vec<(usize, usize)>) {
+        if a != b {
+            out.push((a, b));
         }
     }
 

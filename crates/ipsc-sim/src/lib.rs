@@ -12,9 +12,7 @@ pub mod network;
 pub mod simulator;
 pub mod trace;
 
-pub use network::{
-    simulate_phase, simulate_phase_faulty, FaultStats, Message, PhaseTiming, SlotFaults,
-};
+pub use network::{simulate_phase, simulate_phase_faulty, FaultStats, Message, PhaseTiming};
 pub use simulator::{
     calibrate, calibrate_backend, calibrate_params, collective_base_time, io_base_time,
     sim_ops_time, SimConfig, SimResult, Simulator,
@@ -483,6 +481,49 @@ END
                 assert!(r.fault_stats.any(), "{name} {}", plan.name);
             }
         }
+    }
+
+    /// A plan is applied or rejected, never silently dropped: a link
+    /// fault between vertices the interconnect does not join is an error.
+    #[test]
+    fn plans_naming_missing_links_are_rejected() {
+        let with = |m: &machine::MachineModel, plan: machine::FaultPlan| {
+            Simulator::try_with_config(
+                m,
+                SimConfig {
+                    faults: plan,
+                    ..Default::default()
+                },
+            )
+            .map(|_| ())
+        };
+        let cube = ipsc860(8);
+        assert!(with(&cube, machine::FaultPlan::link_down(0, 4)).is_ok());
+        assert_eq!(
+            with(&cube, machine::FaultPlan::link_down(0, 3)),
+            Err(hpf_machines::TopologyError::NoSuchLink {
+                topology: "hypercube",
+                a: 0,
+                b: 3
+            })
+        );
+        // Fat-tree nodes reach each other only through switches.
+        let tree = hpf_machines::machine("fattree").unwrap().params(8).unwrap();
+        assert!(with(&tree, machine::FaultPlan::link_down(0, 1)).is_err());
+        assert!(with(&tree, machine::FaultPlan::lossy(0.5)).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0-3")]
+    fn with_config_panics_on_a_missing_link() {
+        let m = ipsc860(8);
+        Simulator::with_config(
+            &m,
+            SimConfig {
+                faults: machine::FaultPlan::link_down(0, 3),
+                ..Default::default()
+            },
+        );
     }
 
     #[test]

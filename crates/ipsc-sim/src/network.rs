@@ -1,7 +1,10 @@
 //! Event-level network model: routed messages with per-link occupancy
 //! (contention), used by the simulator to time each communication phase.
-//! One healthy walk and one fault walk serve every interconnect; routes
-//! and link slots come from [`hpf_machines::Topology::route_into`].
+//! One healthy walk and one fault walk serve every interconnect, routing
+//! without allocation: the healthy walk takes each route's link slots
+//! from [`hpf_machines::Topology::route_into`], the fault walk takes its
+//! links from [`hpf_machines::Topology::route_links_into`] so that link
+//! faults match per link.
 //!
 //! This is deliberately *richer* than the analytic collective model the
 //! predictor uses — contention and per-hop effects are exactly the kind of
@@ -112,64 +115,24 @@ impl FaultStats {
     }
 }
 
-/// A fault plan's link faults resolved to the occupancy slots of one
-/// topology, so the fault walk reads the same slot sequence as the
-/// healthy walk and looks each slot up here. A fault covers the slots of
-/// both directions of its undirected link (one slot on every topology
-/// except the crossbar, whose slots are receiver ports: there it covers
-/// the ports of both endpoints). A pair that is not a link of the
-/// topology is never crossed and resolves to nothing; entry points reject
-/// such plans up front with [`hpf_machines::check_link_faults`].
-#[derive(Debug, Clone, Default)]
-pub struct SlotFaults {
-    /// `(slot, state)` in plan order; the first entry for a slot wins, as
-    /// in [`FaultPlan::link_state`].
-    slots: Vec<(usize, LinkState)>,
-}
-
-impl SlotFaults {
-    pub fn resolve(plan: &FaultPlan, topo: &dyn Topology) -> SlotFaults {
-        let mut slots = Vec::new();
-        for f in &plan.link_faults {
-            if !topo.is_link(f.a, f.b) {
-                continue;
-            }
-            let (fwd, back) = (topo.link_index(f.a, f.b), topo.link_index(f.b, f.a));
-            slots.push((fwd, f.state));
-            if back != fwd {
-                slots.push((back, f.state));
-            }
-        }
-        SlotFaults { slots }
-    }
-
-    fn state(&self, slot: usize) -> Option<LinkState> {
-        self.slots.iter().find(|f| f.0 == slot).map(|f| f.1)
-    }
-
-    fn down(&self, slot: usize) -> bool {
-        self.state(slot) == Some(LinkState::Down)
-    }
-}
-
-/// Replace `route` (the direct route's slots) with the slots of a
-/// shortest detour from `from` to `to` that crosses no severed link:
-/// a breadth-first search over `vertex_neighbors`, explored in list order
-/// so the same detour is found every time. Returns `false`, leaving
-/// `route` untouched, when the severed links partition `from` from `to`.
+/// Replace `route` with the links of a shortest detour from `from` to `to`
+/// that crosses no link `plan` severs: a breadth-first search over
+/// `vertex_neighbors`, explored in list order so the same detour is found
+/// every time. Returns `false`, leaving `route` untouched, when the
+/// severed links partition `from` from `to`.
 fn detour(
     topo: &dyn Topology,
-    faults: &SlotFaults,
+    plan: &FaultPlan,
     from: usize,
     to: usize,
-    route: &mut Vec<usize>,
+    route: &mut Vec<(usize, usize)>,
 ) -> bool {
     let mut prev = vec![usize::MAX; topo.vertices()];
     prev[from] = from;
     let mut queue = std::collections::VecDeque::from([from]);
     'search: while let Some(v) = queue.pop_front() {
         for w in topo.vertex_neighbors(v) {
-            if prev[w] == usize::MAX && !faults.down(topo.link_index(v, w)) {
+            if prev[w] == usize::MAX && plan.link_state(v, w) != Some(LinkState::Down) {
                 prev[w] = v;
                 if w == to {
                     break 'search;
@@ -184,7 +147,7 @@ fn detour(
     route.clear();
     let mut v = to;
     while v != from {
-        route.push(topo.link_index(prev[v], v));
+        route.push((prev[v], v));
         v = prev[v];
     }
     route.reverse();
@@ -195,13 +158,19 @@ fn detour(
 /// the plan's loss probability (timeout + exponential-backoff resend, per
 /// [`machine::RetryPolicy`]), degraded links stretch wire time, and severed
 /// links force detour routes. Deterministic for a given `rng` state.
+///
+/// A link fault names a vertex pair and applies to the hops that cross it,
+/// in either direction. The walk therefore routes by links
+/// (`route_links_into`, which is `route_into` before `link_index`) and
+/// takes each hop's slot from its link: on the crossbar, whose slots are
+/// receiver ports shared by every link into a node, a fault on `a-b`
+/// touches only the traffic between `a` and `b`.
 pub fn simulate_phase_faulty(
     topo: &dyn Topology,
     comm: &CommComponent,
     nodes: usize,
     messages: &[Message],
     plan: &FaultPlan,
-    faults: &SlotFaults,
     rng: &mut StdRng,
 ) -> (PhaseTiming, FaultStats) {
     let limit = nodes.min(topo.nodes());
@@ -216,9 +185,12 @@ pub fn simulate_phase_faulty(
         }
         let (startup, wire) = message_cost(comm, m.bytes);
         route.clear();
-        topo.route_into(m.from, m.to, &mut route);
-        if route.iter().any(|&i| faults.down(i)) {
-            if !detour(topo, faults, m.from, m.to, &mut route) {
+        topo.route_links_into(m.from, m.to, &mut route);
+        if route
+            .iter()
+            .any(|&(a, b)| plan.link_state(a, b) == Some(LinkState::Down))
+        {
+            if !detour(topo, plan, m.from, m.to, &mut route) {
                 // Partitioned: the sender burns its full retry budget.
                 stats.undeliverable += 1;
                 let mut waited = 0.0;
@@ -235,11 +207,12 @@ pub fn simulate_phase_faulty(
         for attempt in 0..=plan.retry.max_retries {
             // The transmission occupies links whether or not it is lost.
             let mut t = inject + startup;
-            for &i in &route {
-                let slow = match faults.state(i) {
+            for &(a, b) in &route {
+                let slow = match plan.link_state(a, b) {
                     Some(LinkState::Degraded { factor }) => factor.max(1.0),
                     _ => 1.0,
                 };
+                let i = topo.link_index(a, b);
                 let start = t.max(free[i]);
                 let end = start + wire * slow + comm.per_hop_s;
                 free[i] = end;
@@ -485,16 +458,15 @@ mod fault_tests {
     use machine::ipsc860_comm;
     use rand::SeedableRng;
 
-    /// The fault walk over `topo` with `plan` resolved against it.
+    /// The fault walk over `topo` under `plan`.
     fn faulty(
         topo: &dyn Topology,
         nodes: usize,
         ms: &[Message],
         plan: &FaultPlan,
     ) -> (PhaseTiming, FaultStats) {
-        let slots = SlotFaults::resolve(plan, topo);
         let mut rng = StdRng::seed_from_u64(0xFA17);
-        simulate_phase_faulty(topo, &ipsc860_comm(), nodes, ms, plan, &slots, &mut rng)
+        simulate_phase_faulty(topo, &ipsc860_comm(), nodes, ms, plan, &mut rng)
     }
 
     #[test]
@@ -609,24 +581,29 @@ mod fault_tests {
     }
 
     #[test]
-    fn crossbar_link_fault_covers_both_receiver_ports() {
+    fn crossbar_link_fault_touches_only_its_pair() {
+        // Receiver ports are shared by every link into a node, but a
+        // fault on 0-1 slows or cuts the traffic between 0 and 1 only.
         let xbar = CrossbarTopo { nodes: 4 };
-        let plan = FaultPlan::degraded_link(0, 1, 4.0);
         let comm = ipsc860_comm();
-        for ms in [[msg(2, 1, 4096)], [msg(3, 0, 4096)]] {
+        let plan = FaultPlan::degraded_link(0, 1, 4.0);
+        for ms in [[msg(0, 1, 4096)], [msg(1, 0, 4096)]] {
             let (t, _) = faulty(&xbar, 4, &ms, &plan);
             assert!(t.duration > simulate_phase(&xbar, &comm, 4, &ms).duration);
         }
-        let other = [msg(0, 2, 4096)];
-        let (t, _) = faulty(&xbar, 4, &other, &plan);
-        assert_eq!(t.duration, simulate_phase(&xbar, &comm, 4, &other).duration);
-    }
-
-    #[test]
-    fn faults_on_missing_links_resolve_to_nothing() {
-        // 0-3 is not a hypercube link: no slot, no effect on any route.
-        let slots = SlotFaults::resolve(&FaultPlan::link_down(0, 3), &cube(3));
-        assert!(slots.slots.is_empty());
+        for ms in [[msg(2, 1, 4096)], [msg(3, 0, 4096)], [msg(0, 2, 4096)]] {
+            let (t, _) = faulty(&xbar, 4, &ms, &plan);
+            assert_eq!(t.duration, simulate_phase(&xbar, &comm, 4, &ms).duration);
+        }
+        // Severed, 0-1 detours through another node; 2->1 and 0->3 do not.
+        let ms = [
+            msg(0, 1, 512),
+            msg(1, 0, 512),
+            msg(2, 1, 512),
+            msg(0, 3, 512),
+        ];
+        let (_, stats) = faulty(&xbar, 4, &ms, &FaultPlan::link_down(0, 1));
+        assert_eq!((stats.detours, stats.undeliverable), (2, 0));
     }
 }
 

@@ -10,9 +10,7 @@
 //! between the two is therefore an honest prediction error, not a tuned
 //! constant.
 
-use crate::network::{
-    patterns, simulate_phase, simulate_phase_faulty, FaultStats, Message, SlotFaults,
-};
+use crate::network::{patterns, simulate_phase, simulate_phase_faulty, FaultStats, Message};
 use hpf_compiler::{CommPhase, CompPhase, OpCounts, SeqBlock, SpmdNode, SpmdProgram};
 use hpf_eval::ExecutionProfile;
 use hpf_machines::topology::HypercubeTopo;
@@ -119,8 +117,25 @@ impl<'m> Simulator<'m> {
         }
     }
 
+    /// A simulator for `config`. Panics where [`Simulator::try_with_config`]
+    /// returns an error.
     pub fn with_config(machine: &'m MachineModel, config: SimConfig) -> Self {
-        Simulator { machine, config }
+        Self::try_with_config(machine, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A simulator for `config`, or a [`TopologyError::NoSuchLink`] when a
+    /// link fault of `config.faults` names two vertices that `machine`'s
+    /// interconnect does not join. No message could ever cross such a
+    /// link, so the plan is rejected instead of running as if healthy.
+    pub fn try_with_config(
+        machine: &'m MachineModel,
+        config: SimConfig,
+    ) -> Result<Self, TopologyError> {
+        if !config.faults.link_faults.is_empty() {
+            let topo = hpf_machines::build_topology(&machine.topology, machine.nodes)?;
+            hpf_machines::check_link_faults(topo.as_ref(), &config.faults)?;
+        }
+        Ok(Simulator { machine, config })
     }
 
     /// Simulate the SPMD program. `profile` supplies actual dynamic behaviour
@@ -153,8 +168,7 @@ impl<'m> Simulator<'m> {
         // (each run re-draws only the jitter applied on top). Unused while
         // faults are active — each walk then re-simulates its phases.
         let mut comm_cache: HashMap<(u8, u64, usize), f64> = HashMap::new();
-        // The interconnect, with the plan's link faults resolved to its
-        // slots, likewise persists across walks.
+        // The interconnect likewise persists across walks.
         let mut network: Option<Network> = None;
 
         // Jitter-free base pass for the breakdown.
@@ -469,8 +483,7 @@ impl<'a, 'm> Walk<'a, 'm> {
             None => {
                 let (machine, p) = (self.machine, c.participants);
                 if !self.network.as_ref().is_some_and(|n| n.fits(machine, p)) {
-                    let plan = self.faults.as_ref().map(|s| s.plan);
-                    *self.network = Some(Network::new(machine, p, plan));
+                    *self.network = Some(Network::new(machine, p));
                 }
                 let net = self.network.as_ref().expect("network built above");
                 let t = collective_time(
@@ -525,18 +538,16 @@ impl<'a, 'm> Walk<'a, 'm> {
     }
 }
 
-/// The interconnect collectives route over, with a fault plan's link
-/// faults resolved to its occupancy slots.
+/// The interconnect collectives route over.
 struct Network {
     topo: Box<dyn Topology>,
-    faults: SlotFaults,
 }
 
 impl Network {
     /// The machine's own topology, except that a hypercube grows to the
     /// subcube spanning the participants (characterization probes may
     /// exceed the configured machine).
-    fn new(machine: &MachineModel, participants: usize, plan: Option<&FaultPlan>) -> Network {
+    fn new(machine: &MachineModel, participants: usize) -> Network {
         let topo: Box<dyn Topology> = match &machine.topology {
             TopologyDesc::Hypercube => {
                 Box::new(HypercubeTopo::fitting(participants.max(machine.nodes)))
@@ -544,10 +555,7 @@ impl Network {
             desc => hpf_machines::build_topology(desc, machine.nodes)
                 .expect("machine topology validated by the registry"),
         };
-        let faults = plan
-            .map(|p| SlotFaults::resolve(p, topo.as_ref()))
-            .unwrap_or_default();
-        Network { topo, faults }
+        Network { topo }
     }
 
     /// Whether a collective over `participants` nodes routes over this
@@ -571,7 +579,7 @@ pub fn collective_base_time(
     participants: usize,
     bytes_per_node: u64,
 ) -> f64 {
-    let net = Network::new(machine, participants, None);
+    let net = Network::new(machine, participants);
     collective_time(machine, &net, op, participants, bytes_per_node, None)
 }
 
@@ -591,8 +599,7 @@ fn stage_time(
     match faults {
         None => simulate_phase(topo, comm, nodes, ms).duration,
         Some(s) => {
-            let (timing, st) =
-                simulate_phase_faulty(topo, comm, nodes, ms, s.plan, &net.faults, &mut s.rng);
+            let (timing, st) = simulate_phase_faulty(topo, comm, nodes, ms, s.plan, &mut s.rng);
             let recovery = if s.plan.needs_recovery() && st.any() {
                 comm.sync_overhead_s
             } else {

@@ -6,12 +6,10 @@
 //!
 //! Usage: `faults [--kernel NAME] [--size N] [--procs P] [--runs R] [--machine NAME]`
 //!
-//! On a non-default machine the degraded and severed links are node 0's
-//! own links on that machine's interconnect.
+//! The degraded and severed links are node 0's own links on the machine's
+//! interconnect at `--procs` (0-1 and 0-2 on the iPSC/860 hypercube).
 
-use hpf_report::faults::{
-    default_plans_for, fault_experiment, fault_table_text, FaultExperimentConfig,
-};
+use hpf_report::faults::{fault_experiment, fault_table_text, FaultExperimentConfig};
 
 const USAGE: &str =
     "usage: faults [--kernel NAME] [--size N] [--procs P] [--runs R] [--machine NAME]";
@@ -46,13 +44,6 @@ fn main() {
                 return;
             }
             other => usage_err(&format!("unknown option {other:?}")),
-        }
-    }
-
-    if cfg.machine != hpf_machines::DEFAULT_MACHINE {
-        match hpf_machines::machine(&cfg.machine).and_then(|b| b.topology(cfg.procs)) {
-            Ok(topo) => cfg.plans = default_plans_for(topo.as_ref()),
-            Err(e) => usage_err(&e.to_string()),
         }
     }
 

@@ -9,9 +9,7 @@
 //! once from the discrete-event simulator's — so checkpoint-interval policy
 //! can be evaluated in the same predicted-vs-simulated frame as Table 2.
 
-use crate::pipeline::{
-    calibrated_machine, check_fault_plan, compile_source, PipelineError, PipelineStage,
-};
+use crate::pipeline::{calibrated_machine, compile_source, PipelineError, PipelineStage};
 use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
 use hpf_io::{CheckpointSchedule, IoKind, IoPhase};
@@ -113,7 +111,16 @@ pub fn checkpoint_experiment(
         )
     })?;
     let raw = ipsc860(cfg.procs);
-    check_fault_plan(&raw, &cfg.plan)?;
+    // The DES with the plan injected; a plan naming a link the machine
+    // does not have is rejected here, before any work.
+    let sim_deg = Simulator::try_with_config(
+        &raw,
+        SimConfig {
+            runs: cfg.runs,
+            faults: cfg.plan.clone(),
+            ..Default::default()
+        },
+    )?;
     let src = kernel.source(cfg.size, cfg.procs);
     let (analyzed, spmd) = compile_source(
         &src,
@@ -166,14 +173,6 @@ pub fn checkpoint_experiment(
     );
     let meas = sim.simulate(&spmd, profile.as_deref());
     let work_s = (meas.mean - meas.io).max(0.0);
-    let sim_deg = Simulator::with_config(
-        &raw,
-        SimConfig {
-            runs: cfg.runs,
-            faults: cfg.plan.clone(),
-            ..Default::default()
-        },
-    );
     let meas_deg = sim_deg.simulate(&spmd, profile.as_deref());
     let work_s_deg = (meas_deg.mean - meas_deg.io).max(0.0);
     let ratio_s = if work_s > 0.0 {

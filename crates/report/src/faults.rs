@@ -16,8 +16,7 @@
 //! every degraded row.
 
 use crate::pipeline::{
-    calibrated_machine_for, check_fault_plan, compile_source, machine_params, PipelineError,
-    PredictOptions,
+    calibrated_machine_for, compile_source, machine_params, PipelineError, PredictOptions,
 };
 use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
@@ -54,8 +53,6 @@ pub struct FaultExperimentConfig {
     pub runs: usize,
     /// Step budget for the functional-interpreter profile.
     pub profile_steps: u64,
-    /// Every link fault must name a link of the machine's interconnect.
-    pub plans: Vec<FaultPlan>,
 }
 
 impl Default for FaultExperimentConfig {
@@ -67,49 +64,75 @@ impl Default for FaultExperimentConfig {
             machine: hpf_machines::DEFAULT_MACHINE.to_string(),
             runs: 200,
             profile_steps: 5_000_000,
-            plans: default_plans(),
         }
     }
 }
 
-/// The standard plan set: healthy control, one degraded link, one severed
-/// link (forcing detours), one slow node, and a lossy network.
-pub fn default_plans() -> Vec<FaultPlan> {
-    vec![
-        FaultPlan::none(),
-        FaultPlan::degraded_link(0, 1, 4.0),
-        FaultPlan::link_down(0, 2),
-        FaultPlan::slow_node(1, 2.0),
-        FaultPlan::lossy(0.05),
-    ]
-}
-
-/// [`default_plans`] on any interconnect: the degraded and the severed
-/// link are node 0's first and second links (its only link when it has
-/// one). On the hypercube those are 0-1 and 0-2, the standard set.
+/// The standard plan set on `topo`: healthy control, one degraded link,
+/// one severed link (forcing detours), one slow node, and a lossy
+/// network. The degraded and the severed link are node 0's first and
+/// second links (its only link when it has one), so on the hypercube they
+/// are 0-1 and 0-2. When no detour survives the severed link (every link
+/// of a tree, the single link of a 2-node cube) its row is labelled
+/// "(partitioned)": messages across it are undeliverable, not rerouted.
+/// A machine without links gets no link plans.
 pub fn default_plans_for(topo: &dyn Topology) -> Vec<FaultPlan> {
     let links = topo.vertex_neighbors(0);
     let mut plans = vec![FaultPlan::none()];
     if let Some(&first) = links.first() {
         let second = links.get(1).copied().unwrap_or(first);
         plans.push(FaultPlan::degraded_link(0, first, 4.0));
-        plans.push(FaultPlan::link_down(0, second));
+        let mut down = FaultPlan::link_down(0, second);
+        if partitions(topo, 0, second) {
+            down.name.push_str(" (partitioned)");
+        }
+        plans.push(down);
     }
     plans.push(FaultPlan::slow_node(1, 2.0));
     plans.push(FaultPlan::lossy(0.05));
     plans
 }
 
-/// Run the campaign: one row per plan. The program is compiled and profiled
+/// Whether severing link `a-b` cuts some compute node off from node 0.
+fn partitions(topo: &dyn Topology, a: usize, b: usize) -> bool {
+    let cut = (a.min(b), a.max(b));
+    let mut seen = vec![false; topo.vertices()];
+    seen[0] = true;
+    let mut stack = vec![0];
+    while let Some(v) = stack.pop() {
+        for w in topo.vertex_neighbors(v) {
+            if !seen[w] && (v.min(w), v.max(w)) != cut {
+                seen[w] = true;
+                stack.push(w);
+            }
+        }
+    }
+    seen[..topo.nodes()].contains(&false)
+}
+
+/// Run the campaign: one row per plan of [`default_plans_for`] the
+/// machine's interconnect at `procs`. The program is compiled and profiled
 /// once; each plan then gets its own degraded prediction and its own
 /// fault-injected simulation (deterministic for the fixed `SimConfig` seed
-/// and the plan's own fault seed). A plan naming a link the machine does
-/// not have rejects the whole campaign with a machine-stage error.
+/// and the plan's own fault seed).
 pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, PipelineError> {
     let healthy_machine = machine_params(&cfg.machine, cfg.procs)?;
-    for plan in &cfg.plans {
-        check_fault_plan(&healthy_machine, plan)?;
-    }
+    let topo = hpf_machines::machine(&cfg.machine)?.topology(cfg.procs)?;
+    let plans = default_plans_for(topo.as_ref());
+    // Measured: the DES with each plan injected at the network level.
+    let sims = plans
+        .iter()
+        .map(|plan| {
+            Simulator::try_with_config(
+                &healthy_machine,
+                SimConfig {
+                    runs: cfg.runs,
+                    faults: plan.clone(),
+                    ..Default::default()
+                },
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let kernel: Kernel = kernels::kernel_by_name(&cfg.kernel).ok_or_else(|| {
         PipelineError::new(
             crate::pipeline::PipelineStage::Sweep,
@@ -134,21 +157,11 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
     let popts = PredictOptions::with_nodes(cfg.procs);
 
     let mut rows = Vec::new();
-    for plan in &cfg.plans {
+    for (plan, sim) in plans.iter().zip(&sims) {
         // Predicted: the analytic engine against the degraded abstraction.
         let degraded = healthy_calibrated.degrade(plan);
         let engine = interp::InterpretationEngine::with_options(&degraded, popts.interp.clone());
         let predicted = engine.interpret(&aag).total_seconds();
-
-        // Measured: the DES with the plan injected at the network level.
-        let sim = Simulator::with_config(
-            &healthy_machine,
-            SimConfig {
-                runs: cfg.runs,
-                faults: plan.clone(),
-                ..Default::default()
-            },
-        );
         let meas = sim.simulate(&spmd, profile.as_deref());
 
         let err = if meas.mean > 0.0 {
@@ -209,7 +222,6 @@ mod tests {
             procs: 4,
             runs: 50,
             profile_steps: 5_000_000,
-            plans: default_plans(),
             ..Default::default()
         }
     }
@@ -285,19 +297,55 @@ mod tests {
         assert!(severed.detours > 0, "severed link should record detours");
     }
 
+    fn plan_names(machine: &str, procs: usize) -> Vec<String> {
+        let topo = hpf_machines::machine(machine)
+            .unwrap()
+            .topology(procs)
+            .unwrap();
+        default_plans_for(topo.as_ref())
+            .into_iter()
+            .map(|p| p.name)
+            .collect()
+    }
+
     #[test]
-    fn default_plans_for_the_hypercube_are_the_standard_set() {
-        let cube = hpf_machines::build_topology(&machine::TopologyDesc::Hypercube, 8).unwrap();
-        assert_eq!(default_plans_for(cube.as_ref()), default_plans());
+    fn default_plans_follow_the_interconnect() {
+        let standard = [
+            "none",
+            "degraded-link 0-1 x4",
+            "link-down 0-2",
+            "slow-node 1 x2",
+            "lossy p=0.05",
+        ];
+        assert_eq!(plan_names("ipsc860", 8), standard);
+        assert_eq!(plan_names("multicore", 8), standard);
+        assert_eq!(plan_names("ipsc860", 2)[2], "link-down 0-1 (partitioned)");
+        // Every fat-tree link is a bridge: its severed row says so.
+        assert_eq!(plan_names("fattree", 8)[2], "link-down 0-8 (partitioned)");
+        assert_eq!(
+            plan_names("ipsc860", 1),
+            ["none", "slow-node 1 x2", "lossy p=0.05"]
+        );
+    }
+
+    #[test]
+    fn default_campaign_runs_on_the_smallest_cubes() {
+        for procs in [1, 2] {
+            let cfg = FaultExperimentConfig {
+                procs,
+                runs: 5,
+                ..quick_cfg()
+            };
+            let rows = fault_experiment(&cfg).unwrap();
+            assert_eq!(rows.len(), plan_names("ipsc860", procs).len());
+        }
     }
 
     #[test]
     fn campaigns_on_every_backend_report_fault_events() {
         for name in ["torus3d", "fattree", "multicore"] {
-            let topo = hpf_machines::machine(name).unwrap().topology(4).unwrap();
             let cfg = FaultExperimentConfig {
                 machine: name.into(),
-                plans: default_plans_for(topo.as_ref()),
                 ..quick_cfg()
             };
             let rows = fault_experiment(&cfg).unwrap();
@@ -312,18 +360,5 @@ mod tests {
             );
             assert_eq!(events("none"), 0, "{name}");
         }
-    }
-
-    #[test]
-    fn plan_on_a_missing_link_is_rejected() {
-        // Fat-tree nodes reach each other only through switches.
-        let cfg = FaultExperimentConfig {
-            machine: "fattree".into(),
-            plans: vec![FaultPlan::none(), FaultPlan::link_down(0, 1)],
-            ..quick_cfg()
-        };
-        let err = fault_experiment(&cfg).unwrap_err();
-        assert_eq!(err.stage, crate::pipeline::PipelineStage::Machine);
-        assert!(err.to_string().contains("0-1"), "{err}");
     }
 }

@@ -9,7 +9,7 @@ use hpf_lang::{analyze, parse_program, AnalyzedProgram, LangError};
 use hpf_machines::TopologyError;
 use interp::{InterpOptions, InterpretationEngine, Prediction};
 use ipsc_sim::{SimConfig, SimResult, Simulator};
-use machine::{FaultPlan, MachineModel};
+use machine::MachineModel;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -54,17 +54,6 @@ pub fn calibrated_machine_for(name: &str, nodes: usize) -> Result<MachineModel, 
 /// `machine::ipsc860` rather than the calibrated copy).
 pub fn machine_params(name: &str, nodes: usize) -> Result<MachineModel, PipelineError> {
     Ok(hpf_machines::machine(name)?.params(nodes)?)
-}
-
-/// Reject a fault plan naming a link that `machine`'s interconnect does
-/// not have: such a fault could never be crossed, so the plan would run as
-/// if it were healthy. A [`PipelineStage::Machine`] error.
-pub fn check_fault_plan(machine: &MachineModel, plan: &FaultPlan) -> Result<(), PipelineError> {
-    if plan.link_faults.is_empty() {
-        return Ok(());
-    }
-    let topo = hpf_machines::build_topology(&machine.topology, machine.nodes)?;
-    Ok(hpf_machines::check_link_faults(topo.as_ref(), plan)?)
 }
 
 /// Options for [`predict_source`].
@@ -414,8 +403,7 @@ pub fn simulate_source(src: &str, opts: &SimulateOptions) -> Result<SimResult, P
         None
     };
     let machine = machine_params(&opts.machine, opts.nodes)?;
-    check_fault_plan(&machine, &opts.sim.faults)?;
-    let sim = Simulator::with_config(&machine, opts.sim.clone());
+    let sim = Simulator::try_with_config(&machine, opts.sim.clone())?;
     Ok(sim.simulate(&spmd, profile.as_ref()))
 }
 
