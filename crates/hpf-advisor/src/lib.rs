@@ -12,8 +12,8 @@
 //!    bound (zero-communication interpretation, sound because dropping
 //!    communication can only shrink the predicted time);
 //! 3. **evaluates** the survivors with the analytic interpretation
-//!    engine through warm, memoized candidate sessions fanned across a
-//!    std-only work-stealing thread pool ([`pool`]);
+//!    engine through warm, memoized candidate sessions fanned across
+//!    the work-stealing thread pool [`report::map_indexed`];
 //! 4. **cross-validates** the top-k survivors against the discrete-event
 //!    simulator and reports the predicted-vs-simulated error.
 //!
@@ -28,8 +28,8 @@
 //! `advisor.sessions_reused`, `advisor.profile_reused` counters and
 //! `advisor/{enumerate,lower_bound,evaluate,simulate}` spans.
 
-pub mod pool;
 pub mod search;
+pub mod session;
 pub mod space;
 
 pub use search::{

@@ -27,9 +27,8 @@ use interp::{InterpOptions, InterpretationEngine, Metrics};
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::Kernel;
 use report::pipeline::{calibrated_machine_for, machine_params};
-use report::{shared_profile, PipelineError, PipelineStage};
+use report::{map_indexed, shared_profile, PipelineError, PipelineStage};
 
-use crate::pool;
 use crate::space::{self, Candidate};
 
 /// Search-shaping knobs. The defaults match the paper-scale Laplace
@@ -213,16 +212,15 @@ impl Advisor {
         // Stage 1: compile every candidate once and take its
         // zero-communication lower bound, fanned across the pool. The
         // session (analyzed + SPMD + AAG) is memoized for later stages.
-        let sessions: Vec<Option<CandidateSession>> =
-            pool::map_indexed(cands.len(), cfg.threads, |i| {
-                let _s = hpf_trace::span("lower_bound");
-                self.build_session(&cands[i], cfg)
-                    .map(|mut sess| {
-                        sess.lower_bound_s = lb_engine.interpret(&sess.aag).total_seconds();
-                        sess
-                    })
-                    .ok()
-            });
+        let sessions: Vec<Option<CandidateSession>> = map_indexed(cands.len(), cfg.threads, |i| {
+            let _s = hpf_trace::span("lower_bound");
+            self.build_session(&cands[i], cfg)
+                .map(|mut sess| {
+                    sess.lower_bound_s = lb_engine.interpret(&sess.aag).total_seconds();
+                    sess
+                })
+                .ok()
+        });
         let invalid = sessions.iter().filter(|s| s.is_none()).count();
 
         // Stage 2: deterministic wave-based branch-and-bound. Visit
@@ -254,7 +252,7 @@ impl Advisor {
                     keep
                 })
                 .collect();
-            let evals: Vec<Metrics> = pool::map_indexed(selected.len(), cfg.threads, |j| {
+            let evals: Vec<Metrics> = map_indexed(selected.len(), cfg.threads, |j| {
                 let _s = hpf_trace::span("evaluate");
                 hpf_trace::counter_add("advisor.sessions_reused", 1);
                 full_engine
@@ -303,7 +301,7 @@ impl Advisor {
         });
         let profile = profile.flatten();
         let sim_machine = machine_params(&cfg.machine, cfg.procs)?;
-        let sims: Vec<f64> = pool::map_indexed(top.len(), cfg.threads, |j| {
+        let sims: Vec<f64> = map_indexed(top.len(), cfg.threads, |j| {
             let _s = hpf_trace::span("simulate");
             hpf_trace::counter_add("advisor.sessions_reused", 1);
             let sim = Simulator::with_config(

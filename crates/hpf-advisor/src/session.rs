@@ -5,17 +5,19 @@
 //!
 //! The REPL binary (`bin/hpfenv`) is a thin stdin loop over
 //! [`Session::execute`]; keeping the engine here makes every command
-//! unit-testable.
+//! unit-testable. The `search` command is the directive-space
+//! [`Advisor`] run on the loaded program.
 
-use crate::autotune::search_distributions;
-use crate::pipeline::{
-    calibrated_machine, compile_source, predict_source_on, run_profile, PredictOptions,
-    SimulateOptions,
-};
+use crate::{render_table, Advisor, AdvisorConfig};
 use hpf_compiler::CompileOptions;
+use hpf_lang::{analyze, parse_program, SymbolKind};
 use interp::{profile_report, query_line, query_lines, InterpOptions};
 use ipsc_sim::SimConfig;
 use machine::MachineModel;
+use report::pipeline::{
+    calibrated_machine, compile_source, predict_source_on, run_profile, simulate_source,
+    PredictOptions, SimulateOptions,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -361,7 +363,7 @@ impl Session {
             runs,
             ..Default::default()
         };
-        let r = crate::pipeline::simulate_source(src, &o).map_err(|e| e.to_string())?;
+        let r = simulate_source(src, &o).map_err(|e| e.to_string())?;
         Ok(format!(
             "measured {:.6} s ± {:.6} over {} runs (comp {:.6}, comm {:.6})",
             r.mean, r.std, r.runs, r.comp, r.comm
@@ -379,7 +381,7 @@ impl Session {
             runs: self.runs.min(200),
             ..Default::default()
         };
-        let meas = crate::pipeline::simulate_source(src, &o).map_err(|e| e.to_string())?;
+        let meas = simulate_source(src, &o).map_err(|e| e.to_string())?;
         let err = 100.0 * (pred.total_seconds() - meas.mean).abs() / meas.mean.max(1e-30);
         Ok(format!(
             "estimated {:.6} s   measured {:.6} s   |error| {:.2}%",
@@ -389,21 +391,29 @@ impl Session {
         ))
     }
 
+    /// Rank the program's directive space with the advisor on the default
+    /// machine at the session's node count. The advisor binds only `N`, to
+    /// the program's value after the session's overrides; the target
+    /// machine and the other overrides and hints do not apply.
     fn cmd_search(&self) -> Result<String, String> {
         let src = self.require_source()?;
-        let choices = search_distributions(src, self.nodes).map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        for c in &choices {
-            let _ = writeln!(
-                out,
-                "{:<18} {:?} {:>12.6} s",
-                c.label(),
-                c.grid,
-                c.predicted_s
-            );
+        let advisor = Advisor::for_source(&self.source_name, src).map_err(|e| e.to_string())?;
+        let mut cfg = AdvisorConfig {
+            procs: self.nodes,
+            ..AdvisorConfig::default()
+        };
+        let analyzed = parse_program(src)
+            .and_then(|p| analyze(&p, &self.overrides))
+            .map_err(|e| e.to_string())?;
+        if let Some(SymbolKind::Parameter { value }) = analyzed.symbol("N").map(|s| &s.kind) {
+            if let Some(n) = value.as_i64().and_then(|n| usize::try_from(n).ok()) {
+                cfg.n = n;
+            }
         }
-        if let Some(best) = choices.first() {
-            let _ = writeln!(out, "recommended: DISTRIBUTE {}", best.label());
+        let report = advisor.search(&cfg).map_err(|e| e.to_string())?;
+        let mut out = render_table(&report);
+        if let Some(best) = report.ranked.first() {
+            let _ = writeln!(out, "recommended: DISTRIBUTE {}", best.label);
         }
         Ok(out)
     }
@@ -470,7 +480,7 @@ commands:
   outline | aag | dists    SPMD phases / abstraction graph / distributions
   simulate [runs]          run on the simulated machine
   compare                  estimated vs measured
-  search                   evaluate all DISTRIBUTE alternatives
+  search                   rank the PROCESSORS/DISTRIBUTE space (advisor)
   trace                    per-node Gantt from the simulated machine
   quit
 ";

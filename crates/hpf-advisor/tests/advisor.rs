@@ -1,6 +1,7 @@
 //! Integration tests for the directive-space advisor: ownership
 //! soundness across the enumerated space, bit-stable ranking across runs
-//! and thread counts, and the paper-loop acceptance numbers on Laplace.
+//! and thread counts, and the paper-loop acceptance numbers on Laplace
+//! (including the §7 directive-search ranking at n = 256, P = 4).
 
 use std::collections::BTreeMap;
 
@@ -237,6 +238,62 @@ fn laplace_quick_search_meets_acceptance() {
             c.label
         );
     }
+}
+
+/// The paper's §7 "intelligent compiler" question on Laplace (Blk-Blk),
+/// n = 256, P = 4 on the iPSC/860: the advisor ranks (BLOCK,*) first,
+/// its ranking holds every BLOCK/CYCLIC/`*` format tuple on the
+/// near-square grid for its distributed rank, and (CYCLIC,*) is priced
+/// about 10× worse than (BLOCK,*), as EXPERIMENTS.md reports.
+#[test]
+fn laplace_directive_search_ranks_block_star_first() {
+    let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").unwrap();
+    let advisor = Advisor::for_kernel(&kernel).unwrap();
+    let report = advisor
+        .search(&AdvisorConfig {
+            n: 256,
+            procs: 4,
+            top_k: 0,
+            machine: "ipsc860".to_string(),
+            ..AdvisorConfig::default()
+        })
+        .unwrap();
+    assert_eq!(report.ranked[0].label, "(BLOCK,*) onto (4)");
+    let price = |label: &str| {
+        report
+            .ranked
+            .iter()
+            .find(|c| c.label == label)
+            .unwrap_or_else(|| panic!("{label} missing from the ranking"))
+            .predicted_s
+    };
+    for label in [
+        "(BLOCK,BLOCK) onto (2,2)",
+        "(BLOCK,CYCLIC) onto (2,2)",
+        "(CYCLIC,BLOCK) onto (2,2)",
+        "(CYCLIC,CYCLIC) onto (2,2)",
+        "(BLOCK,*) onto (4)",
+        "(CYCLIC,*) onto (4)",
+        "(*,BLOCK) onto (4)",
+        "(*,CYCLIC) onto (4)",
+    ] {
+        price(label);
+    }
+    let block = price("(BLOCK,*) onto (4)");
+    let cyclic = price("(CYCLIC,*) onto (4)");
+    assert!(
+        cyclic >= 9.0 * block,
+        "(CYCLIC,*) {cyclic} s vs (BLOCK,*) {block} s"
+    );
+}
+
+/// A program without a DISTRIBUTE directive has no space to search: the
+/// advisor refuses it with a structured error instead of panicking.
+#[test]
+fn for_source_requires_distribute() {
+    let err = Advisor::for_source("t", "PROGRAM T\nREAL X\nX = 1.0\nEND\n")
+        .expect_err("no DISTRIBUTE directive");
+    assert!(err.to_string().contains("no DISTRIBUTE"), "{err}");
 }
 
 /// The advisor's trace counters register under tracing, and tracing does

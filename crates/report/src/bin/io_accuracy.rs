@@ -2,8 +2,9 @@
 //! predicted-vs-simulated accuracy table per machine backend (the parallel
 //! I/O subsystem's Table-2-style validation artifact).
 //!
-//! Usage: `io_accuracy [--threads N]` (output is bit-identical for any
-//! thread count — the CI io-goldens job verifies at two).
+//! Usage: `io_accuracy [--threads N]` (default 1; 0 = one per CPU). The
+//! output is bit-identical for any thread count — the CI io-goldens job
+//! verifies at two.
 
 use hpf_report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
 
@@ -18,7 +19,7 @@ fn main() {
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| {
-                        eprintln!("--threads requires a positive integer");
+                        eprintln!("--threads requires an integer (0 = one per CPU)");
                         std::process::exit(2);
                     });
                 i += 2;

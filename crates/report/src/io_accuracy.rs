@@ -7,19 +7,17 @@
 //! model, and measures it with the discrete-event simulator on the raw
 //! parameter tables — the same dual-frame contract as the in-core Table 2.
 //! The sweep runs on a caller-chosen number of worker threads and is
-//! bit-deterministic at every thread count: jobs write into indexed slots
-//! and each job is a pure function of its inputs.
+//! bit-deterministic at every thread count: [`map_indexed`] returns the
+//! results in job order and each job is a pure function of its inputs.
 
-use crate::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, PipelineError, PipelineStage,
-};
+use crate::pipeline::{calibrated_machine_for, compile_source, machine_params, PipelineError};
+use crate::pool::map_indexed;
 use crate::sweep::shared_profile;
 use hpf_compiler::CompileOptions;
 use interp::{InterpOptions, InterpretationEngine};
 use ipsc_sim::{SimConfig, Simulator};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One (machine, kernel, size) point of the I/O accuracy table.
 #[derive(Debug, Clone, Serialize)]
@@ -45,8 +43,8 @@ pub struct IoAccuracyConfig {
     /// Simulated runs per measurement.
     pub runs: usize,
     pub profile_steps: u64,
-    /// Worker threads the sweep fans out over (results are identical for
-    /// any value ≥ 1).
+    /// Worker threads the sweep fans out over; `0` means one per
+    /// available CPU. The results are identical for every value.
     pub threads: usize,
 }
 
@@ -105,49 +103,22 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
         .flat_map(|m| (0..artifacts.len()).map(move |a| (m, a)))
         .collect();
 
-    // Fan out over worker threads; each job writes its own indexed slot,
-    // so assembly order is scheduling-independent.
-    let slots: Vec<Mutex<Option<Result<IoAccuracyRow, PipelineError>>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = cfg.threads.max(1).min(work.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= work.len() {
-                    break;
-                }
-                let (mi, ai) = work[i];
-                let machine_name = &cfg.machines[mi];
-                let art = &artifacts[ai];
-                let row = point(
-                    machine_name,
-                    art.app.clone(),
-                    art.size,
-                    cfg,
-                    &art.spmd,
-                    art.profile.as_deref(),
-                );
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(row);
-            });
-        }
-    });
-
-    let mut rows = Vec::with_capacity(work.len());
-    for slot in slots {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok(row)) => rows.push(row),
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(PipelineError::new(
-                    PipelineStage::Sweep,
-                    "io accuracy job produced no result",
-                ))
-            }
-        }
-    }
-    Ok(rows)
+    // Fan out over the pool; results come back in work-list order, so
+    // assembly is scheduling-independent.
+    map_indexed(work.len(), cfg.threads, |i| {
+        let (mi, ai) = work[i];
+        let art = &artifacts[ai];
+        point(
+            &cfg.machines[mi],
+            art.app.clone(),
+            art.size,
+            cfg,
+            &art.spmd,
+            art.profile.as_deref(),
+        )
+    })
+    .into_iter()
+    .collect()
 }
 
 fn point(

@@ -12,7 +12,6 @@
 //! | Figure 7   | [`experiments::figure7`], `bin/figure7` |
 //! | Figure 8   | [`workflow`], `bin/figure8`             |
 
-pub mod autotune;
 pub mod checkpoint;
 pub mod csv;
 pub mod eval_profiles;
@@ -22,7 +21,7 @@ pub mod harness;
 pub mod io_accuracy;
 pub mod lru;
 pub mod pipeline;
-pub mod session;
+pub mod pool;
 pub mod sweep;
 pub mod workflow;
 
@@ -32,6 +31,7 @@ pub use pipeline::{
     compile_source, predict_source, predict_source_full, simulate_source, PipelineError,
     PipelineStage, PredictOptions, SimulateOptions,
 };
+pub use pool::map_indexed;
 pub use sweep::{directive_free_source, shared_profile, SweepSession};
 
 /// Serializes tests that flip the process-global `hpf_trace` enable flag.

@@ -1,4 +1,8 @@
-//! A std-only work-stealing thread pool for index-addressed fan-out.
+//! A std-only work-stealing thread pool for index-addressed fan-out —
+//! the one thread fan-out of the workspace's batch code: the sweep
+//! harness ([`crate::harness::run_batch`]), the I/O accuracy sweep and
+//! the directive-space advisor all run their jobs through
+//! [`map_indexed`].
 //!
 //! The vendored-stub policy keeps external crates out of the build, so
 //! this is the minimal honest work-stealing scheme: each worker owns a
@@ -16,7 +20,7 @@ use std::sync::Mutex;
 
 /// Resolve a requested worker count: `0` means "ask the OS", and the
 /// result is clamped to the job count (no idle spawn) and to 16.
-pub fn effective_threads(requested: usize, jobs: usize) -> usize {
+fn effective_threads(requested: usize, jobs: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
